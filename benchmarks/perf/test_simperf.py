@@ -279,9 +279,9 @@ def test_sweep_speedup_over_serial() -> None:
     (capped at the machine's cores — oversubscription is counted
     against it, not excused).
 
-    Runs with ``REPRO_ASSERT_GC_PARKED`` set, so every pooled sweep
-    worker asserts the initializer actually disabled its cyclic GC — a
-    regression there fails this benchmark, not just the unit test.
+    Every pooled sweep worker checks that the initializer actually
+    disabled its cyclic GC — a regression there fails this benchmark,
+    not just the unit test.
     """
     from repro.sim.sweep import last_sweep_stats
 
@@ -297,19 +297,14 @@ def test_sweep_speedup_over_serial() -> None:
 
     with tempfile.TemporaryDirectory(prefix="repro-perf-") as tmp:
         cache = ResultCache(tmp)
-        os.environ["REPRO_ASSERT_GC_PARKED"] = "1"
-        try:
-            start = time.perf_counter()
-            swept, workers = [], 0
-            for index in range(SWEEP_PASSES):
-                swept = run_sweep(pass_points, jobs=SWEEP_JOBS,
-                                  cache=cache)
-                if index == 0:
-                    # the only executing pass; later ones are all hits
-                    workers = last_sweep_stats()["workers"]
-            sweep_s = time.perf_counter() - start
-        finally:
-            os.environ.pop("REPRO_ASSERT_GC_PARKED", None)
+        start = time.perf_counter()
+        swept, workers = [], 0
+        for index in range(SWEEP_PASSES):
+            swept = run_sweep(pass_points, jobs=SWEEP_JOBS, cache=cache)
+            if index == 0:
+                # the only executing pass; later ones are all hits
+                workers = last_sweep_stats()["workers"]
+        sweep_s = time.perf_counter() - start
         hits, misses = cache.hits, cache.misses
 
     improvement = serial_s / sweep_s

@@ -29,8 +29,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.common.errors import ProtocolError
-from repro.common.messages import (CoherenceMsg, MsgType, TrafficClass,
-                                   make_msg, recycle_msg)
+from repro.common.messages import CoherenceMsg, MsgType, TrafficClass
 from repro.common.params import SystemParams
 from repro.common.scheduler import Scheduler
 from repro.common.stats import StatGroup
@@ -188,7 +187,6 @@ class LLCSlice:
                 # A lookup for this line is already in the pipeline: merge.
                 self._coalescing[msg.line_addr].append(msg.src)
                 self._c_coalesced_requests.value += 1
-                recycle_msg(msg)
                 return
             self._coalescing[msg.line_addr] = []
         now = self.scheduler.now
@@ -224,7 +222,6 @@ class LLCSlice:
                 if msg.line_addr in coalescing:
                     coalescing[msg.line_addr].append(msg.src)
                     self._c_coalesced_requests.value += 1
-                    recycle_msg(msg)
                     continue
                 coalescing[msg.line_addr] = []
             start = next_free if next_free > now else now
@@ -239,22 +236,14 @@ class LLCSlice:
     # ------------------------------------------------------------------
 
     def _process(self, msg: CoherenceMsg) -> None:
-        # Consumption tracking: a handler that parks the message on a
-        # per-line queue returns True ("retained"); every other path
-        # finishes with the message here and recycles it.  A message
-        # drained off a queue later is recycled at that point instead.
-        if not self._process_msg(msg):
-            recycle_msg(msg)
-
-    def _process_msg(self, msg: CoherenceMsg) -> bool:
         line_addr = msg.line_addr
         if msg.msg_type is MsgType.MEM_DATA:
             self._on_mem_data(line_addr)
-            return False
+            return
         if msg.msg_type in (MsgType.INV_ACK, MsgType.PUSH_ACK,
                             MsgType.UNBLOCK):
             self._on_ack(msg)
-            return False
+            return
 
         entry = self._dir.get(line_addr)
         if msg.msg_type is MsgType.PUTM and (entry is None
@@ -263,11 +252,11 @@ class LLCSlice:
             # an LLC eviction): bank the version and forward to memory.
             self.versions[line_addr] = max(
                 self.versions.get(line_addr, 0), msg.payload)
-            self._send(make_msg(
+            self._send(CoherenceMsg(
                 MsgType.MEM_WB, line_addr, self.tile,
                 (self._mem_ctrl_of(self.tile),), requester=self.tile))
             self._c_writebacks_to_memory.value += 1
-            return False
+            return
         if entry is None:
             entry = DirEntry(line_addr)
             self._dir[line_addr] = entry
@@ -276,19 +265,11 @@ class LLCSlice:
             if not entry.filling:
                 entry.filling = True
                 self._c_llc_misses.value += 1
-                self._send(make_msg(
+                self._send(CoherenceMsg(
                     MsgType.MEM_READ, line_addr, self.tile,
                     (self._mem_ctrl_of(self.tile),), requester=self.tile))
-            return True
-        if entry.busy:
-            if self._ack_like(entry, msg):
-                # A PUTM from a tile we are waiting on IS its recall /
-                # downgrade acknowledgment (it carries the dirty data).
-                self._collect_ack(entry, msg)
-                return False
-            entry.queue.append(msg)
-            return True
-        return self._dispatch(entry, msg)
+            return
+        self._process_resident(entry, msg)
 
     @staticmethod
     def _ack_like(entry: DirEntry, msg: CoherenceMsg) -> bool:
@@ -296,39 +277,36 @@ class LLCSlice:
         return (msg.msg_type is MsgType.PUTM
                 and entry.awaiting_mask >> msg.src & 1 == 1)
 
-    def _dispatch(self, entry: DirEntry, msg: CoherenceMsg) -> bool:
-        """Handle one resident, non-busy request; True if ``msg`` was
-        parked on a queue (and so must not be recycled yet)."""
+    def _dispatch(self, entry: DirEntry, msg: CoherenceMsg) -> None:
+        """Handle one resident, non-busy request."""
         if msg.msg_type is MsgType.GETS:
-            return self._on_gets(entry, msg)
-        if msg.msg_type is MsgType.GETM:
-            return self._on_getm(entry, msg)
-        if msg.msg_type is MsgType.PUTM:
+            self._on_gets(entry, msg)
+        elif msg.msg_type is MsgType.GETM:
+            self._on_getm(entry, msg)
+        elif msg.msg_type is MsgType.PUTM:
             self._on_putm(entry, msg)
-            return False
-        raise ProtocolError(f"LLC slice {self.tile} cannot handle {msg}")
+        else:
+            raise ProtocolError(f"LLC slice {self.tile} cannot handle {msg}")
 
     def _drain(self, entry: DirEntry) -> None:
         entry.busy = False
         entry.awaiting_mask = 0
         entry.pending_grant = None
         while entry.queue and not entry.busy:
-            msg = entry.queue.pop(0)
-            if not self._dispatch(entry, msg):
-                recycle_msg(msg)
+            self._dispatch(entry, entry.queue.pop(0))
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
 
-    def _on_gets(self, entry: DirEntry, msg: CoherenceMsg) -> bool:
+    def _on_gets(self, entry: DirEntry, msg: CoherenceMsg) -> None:
         requester = msg.src
         if self._shadow_filtered(entry.line_addr, requester):
             # The response is embedded in a push triggered moments ago
             # that lists this requester — the stationary-filter case the
             # unbounded-ejection model would otherwise miss.
             self._c_gets_shadow_filtered.value += 1
-            return False
+            return
         self._c_gets_served.value += 1
         if (self.gets_log is not None
                 and self.watch_range[0] <= entry.line_addr
@@ -339,32 +317,30 @@ class LLCSlice:
         coalesced = self._take_coalesced(entry.line_addr)
         if coalesced is not None and coalesced:
             # Concurrent readers merged in the lookup window force the
-            # line shared regardless of its current state.  (The grant
-            # continuation captures plain tile ids, never the message:
-            # the message is recycled when this handler returns.)
+            # line shared regardless of its current state.
             if entry.state is DirState.EM and entry.owner != requester:
                 owner = entry.owner
                 entry.busy = True
                 entry.awaiting_mask = 1 << owner
-                self._send(make_msg(
+                self._send(CoherenceMsg(
                     MsgType.DOWNGRADE, entry.line_addr, self.tile,
                     (owner,), requester=requester))
                 entry.pending_grant = lambda: self._finish_coalesced(
                     entry, requester, coalesced, extra_sharer=owner)
-                return False
+                return
             entry.owner = None
             self._finish_coalesced(entry, requester, coalesced)
-            return False
+            return
 
         if entry.state is DirState.I:
             self._grant_exclusive(entry, requester)
-            return False
+            return
         if entry.state is DirState.EM:
             if entry.owner == requester:
                 self._grant_exclusive(entry, requester)
-                return False
-            self._downgrade_then_share(entry, requester)
-            return False
+            else:
+                self._downgrade_then_share(entry, requester)
+            return
         # Shared (or P, which still serves reads with unicasts).
         new_sharer = not entry.sharers_mask >> requester & 1
         entry.sharers_mask |= 1 << requester
@@ -372,9 +348,8 @@ class LLCSlice:
         if (self.push.pushes and entry.state is DirState.S
                 and not new_sharer and prefetch_ok):
             self._trigger_push(entry, requester)
-            return False
+            return
         self._reply_data_s(entry, (requester,))
-        return False
 
     def _finish_coalesced(self, entry: DirEntry, first_src: int,
                           extra_srcs: List[int],
@@ -392,7 +367,7 @@ class LLCSlice:
         # Block the line until the requester's UNBLOCK receipt ack.
         entry.busy = True
         entry.awaiting_mask = 1 << requester
-        self._send(make_msg(
+        self._send(CoherenceMsg(
             MsgType.DATA_E, entry.line_addr, self.tile, (requester,),
             requester=requester, payload=version,
             reset_push_counters=self._reset_flag(requester)))
@@ -402,7 +377,7 @@ class LLCSlice:
         owner = entry.owner
         entry.busy = True
         entry.awaiting_mask = 1 << owner
-        self._send(make_msg(
+        self._send(CoherenceMsg(
             MsgType.DOWNGRADE, entry.line_addr, self.tile, (owner,),
             requester=requester))
 
@@ -417,7 +392,7 @@ class LLCSlice:
     def _reply_data_s(self, entry: DirEntry, dests) -> None:
         version = self.versions.get(entry.line_addr, 0)
         for dest in dests:
-            self._send(make_msg(
+            self._send(CoherenceMsg(
                 MsgType.DATA_S, entry.line_addr, self.tile, (dest,),
                 requester=dest, payload=version,
                 reset_push_counters=self._reset_flag(dest)))
@@ -439,7 +414,7 @@ class LLCSlice:
         entry.sharers_mask |= req_mask
         requesters = _mask_tiles(req_mask)
         version = self.versions.get(entry.line_addr, 0)
-        self._send(make_msg(
+        self._send(CoherenceMsg(
             MsgType.DATA_S, entry.line_addr, self.tile,
             tuple(requesters), requester=first_src,
             payload=version))
@@ -474,7 +449,7 @@ class LLCSlice:
             self._reply_data_s(entry, (requester,))
             others = [dest for dest in dests if dest != requester]
             for dest in others:
-                self._send(make_msg(
+                self._send(CoherenceMsg(
                     MsgType.PUSH, entry.line_addr, self.tile, (dest,),
                     requester=requester, payload=version,
                     ack_required=True))
@@ -485,14 +460,14 @@ class LLCSlice:
 
         ack_required = mode == "pushack"
         if self.push.multicast:
-            self._send(make_msg(
+            self._send(CoherenceMsg(
                 MsgType.PUSH, entry.line_addr, self.tile, tuple(dests),
                 requester=requester, payload=version,
                 ack_required=ack_required,
                 reset_push_counters=self._reset_flag(requester)))
         else:
             for dest in dests:
-                self._send(make_msg(
+                self._send(CoherenceMsg(
                     MsgType.PUSH, entry.line_addr, self.tile, (dest,),
                     requester=requester, payload=version,
                     ack_required=ack_required))
@@ -504,17 +479,17 @@ class LLCSlice:
     # writes
     # ------------------------------------------------------------------
 
-    def _on_getm(self, entry: DirEntry, msg: CoherenceMsg) -> bool:
+    def _on_getm(self, entry: DirEntry, msg: CoherenceMsg) -> None:
         requester = msg.src
         if entry.state is DirState.P:
             # Semi-blocking: writes wait for the push acknowledgments.
             entry.queue.append(msg)
             self._c_getm_blocked.value += 1
-            return True
+            return
         if entry.state is DirState.I or (entry.state is DirState.EM
                                          and entry.owner == requester):
             self._grant_modified(entry, requester)
-            return False
+            return
         version = self._bump_version(entry.line_addr)
         if entry.state is DirState.EM:
             targets_mask = 1 << entry.owner
@@ -522,11 +497,11 @@ class LLCSlice:
             targets_mask = entry.sharers_mask & ~(1 << requester)
         if not targets_mask:
             self._grant_modified(entry, requester, version)
-            return False
+            return
         entry.busy = True
         entry.awaiting_mask = targets_mask
         for target in _mask_tiles(targets_mask):
-            self._send(make_msg(
+            self._send(CoherenceMsg(
                 MsgType.INV, entry.line_addr, self.tile, (target,),
                 requester=requester, payload=version))
 
@@ -534,7 +509,6 @@ class LLCSlice:
             self._grant_modified(entry, requester, version)
 
         entry.pending_grant = grant
-        return False
 
     def _grant_modified(self, entry: DirEntry, requester: int,
                         version: Optional[int] = None) -> None:
@@ -546,7 +520,7 @@ class LLCSlice:
         entry.busy = True
         entry.awaiting_mask = 1 << requester
         entry.pending_grant = None
-        self._send(make_msg(
+        self._send(CoherenceMsg(
             MsgType.DATA_E, entry.line_addr, self.tile, (requester,),
             requester=requester, payload=version,
             reset_push_counters=self._reset_flag(requester)))
@@ -613,18 +587,19 @@ class LLCSlice:
         self._install_array_line(line_addr)
         queued, entry.queue = entry.queue, []
         for msg in queued:
-            if not self._process_resident(entry, msg):
-                recycle_msg(msg)
+            self._process_resident(entry, msg)
 
     def _process_resident(self, entry: DirEntry,
-                          msg: CoherenceMsg) -> bool:
+                          msg: CoherenceMsg) -> None:
         if entry.busy:
             if self._ack_like(entry, msg):
+                # A PUTM from a tile we are waiting on IS its recall /
+                # downgrade acknowledgment (it carries the dirty data).
                 self._collect_ack(entry, msg)
-                return False
-            entry.queue.append(msg)
-            return True
-        return self._dispatch(entry, msg)
+            else:
+                entry.queue.append(msg)
+        else:
+            self._dispatch(entry, msg)
 
     def _install_array_line(self, line_addr: int) -> None:
         if line_addr in self.array._slot_of:
@@ -679,7 +654,7 @@ class LLCSlice:
             if entry.owner is not None:
                 targets_mask |= 1 << entry.owner
             for target in _mask_tiles(targets_mask):
-                self._send(make_msg(
+                self._send(CoherenceMsg(
                     MsgType.INV, victim.line_addr, self.tile, (target,),
                     requester=self.tile, payload=version))
             self.stats.inc("llc_back_invalidations")

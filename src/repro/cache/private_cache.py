@@ -35,8 +35,7 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.common.addr import line_of
 from repro.common.errors import ProtocolError
-from repro.common.messages import (CoherenceMsg, MsgType, TrafficClass,
-                                   make_msg, recycle_msg)
+from repro.common.messages import CoherenceMsg, MsgType, TrafficClass
 from repro.common.params import SystemParams
 from repro.common.scheduler import Scheduler
 from repro.common.stats import StatGroup
@@ -56,8 +55,7 @@ class PrivateCache:
                  scheduler: Scheduler,
                  send: Callable[[CoherenceMsg], None],
                  home_of: Callable[[int], int],
-                 stats: Optional[StatGroup] = None,
-                 backing=None) -> None:
+                 stats: Optional[StatGroup] = None) -> None:
         self.tile = tile
         self.params = params
         self.scheduler = scheduler
@@ -70,13 +68,8 @@ class PrivateCache:
         self._data_flits = params.noc.data_packet_flits
         self._l1_hit_cycles = params.core.l1_hit_cycles
         self._l2_hit_latency = params.l2.hit_latency
-        # ``backing`` is the tile's L2 arena-row triple from
-        # repro.cpu.fastpath.FastpathArena: the batched stepper's
-        # vectorized probe reads the very storage the scalar
-        # controllers mutate, so nothing needs mirroring.  The L1 is
-        # never arena-backed (see FastpathArena's docstring).
         self.l1 = CacheArray(params.l1)
-        self.l2 = CacheArray(params.l2, backing=backing)
+        self.l2 = CacheArray(params.l2)
         # Bound slot probes (the dicts are created once and mutated in
         # place, so the bound methods stay valid for the cache lifetime).
         self._l1_slot_get = self.l1._slot_of.get
@@ -257,7 +250,7 @@ class PrivateCache:
             # Upgrade: the S copy stays resident and pinned until DATA_E.
             self.l2._flags[resident_slot] |= F_BLOCKED
             mshr.had_line_in_s = True
-        self._send(make_msg(
+        self._send(CoherenceMsg(
             req_type, line_addr, self.tile, (self._home_of(line_addr),),
             requester=self.tile, need_push=self._need_push(),
             is_prefetch=is_prefetch))
@@ -276,11 +269,6 @@ class PrivateCache:
             raise ProtocolError(
                 f"private cache {self.tile} cannot handle {msg}")
         handler(msg)
-        # The private cache is a terminal sink: every handler consumes
-        # the message synchronously (responses fill, pushes install or
-        # drop, invalidations ack), so this delivery's share of the
-        # message can be recycled here.
-        recycle_msg(msg)
 
     def _on_wb_ack(self, msg: CoherenceMsg) -> None:
         pass  # writeback acknowledged; nothing left to do
@@ -304,7 +292,7 @@ class PrivateCache:
             if msg.msg_type is MsgType.DATA_E:
                 # Unreachable by construction (E grants are serialized
                 # by UNBLOCK), but never leave the directory blocked.
-                self._send(make_msg(
+                self._send(CoherenceMsg(
                     MsgType.UNBLOCK, msg.line_addr, self.tile,
                     (msg.src,), requester=self.tile))
             self.stats.inc("stale_responses_dropped")
@@ -318,7 +306,7 @@ class PrivateCache:
         line_addr = msg.line_addr
         # The directory holds the line blocked until this receipt ack,
         # so a later write's invalidation can never overtake the grant.
-        self._send(make_msg(
+        self._send(CoherenceMsg(
             MsgType.UNBLOCK, line_addr, self.tile, (msg.src,),
             requester=self.tile))
         is_write = mshr.req_type is MsgType.GETM
@@ -364,7 +352,6 @@ class PrivateCache:
         latency = self.scheduler.now - mshr.issued_at
         self._miss_latency_hist.record(latency)
         mshr.complete()
-        self.mshrs.recycle(mshr)
         if self._mshr_waiters and not self.mshrs.full:
             stalled_line, is_write, on_complete = (
                 self._mshr_waiters.popleft())
@@ -376,7 +363,7 @@ class PrivateCache:
         """Speculative pushed data (paper §III-B drop rules + Fig. 12)."""
         self._count_received_push()
         if msg.ack_required:
-            self._send(make_msg(
+            self._send(CoherenceMsg(
                 MsgType.PUSH_ACK, msg.line_addr, self.tile, (msg.src,),
                 requester=self.tile))
         line_addr = msg.line_addr
@@ -435,11 +422,11 @@ class PrivateCache:
                 # at the directory and will be granted with fresh data.
                 mshr.had_line_in_s = False
             elif flags & F_DIRTY:
-                self._send(make_msg(
+                self._send(CoherenceMsg(
                     MsgType.PUTM, line_addr, self.tile, (msg.src,),
                     requester=self.tile, payload=payload))
                 return
-        self._send(make_msg(
+        self._send(CoherenceMsg(
             MsgType.INV_ACK, line_addr, self.tile, (msg.src,),
             requester=self.tile))
 
@@ -449,7 +436,7 @@ class PrivateCache:
         slot = l2._slot_of.get(line_addr, -1)
         if slot < 0 or l2._state[slot] == PRIV_S:
             # Silently evicted (or already shared): clean acknowledgment.
-            self._send(make_msg(
+            self._send(CoherenceMsg(
                 MsgType.INV_ACK, line_addr, self.tile, (msg.src,),
                 requester=self.tile))
             return
@@ -457,11 +444,11 @@ class PrivateCache:
         l2._state[slot] = PRIV_S
         l2._flags[slot] = flags & (0xFF ^ F_DIRTY)
         if flags & F_DIRTY:
-            self._send(make_msg(
+            self._send(CoherenceMsg(
                 MsgType.PUTM, line_addr, self.tile, (msg.src,),
                 requester=self.tile, payload=l2._payload[slot]))
         else:
-            self._send(make_msg(
+            self._send(CoherenceMsg(
                 MsgType.INV_ACK, line_addr, self.tile, (msg.src,),
                 requester=self.tile))
 
@@ -500,7 +487,7 @@ class PrivateCache:
             self._c_evictions.value += 1
             if flags & F_DIRTY:
                 self._c_writebacks.value += 1
-                self._send(make_msg(
+                self._send(CoherenceMsg(
                     MsgType.PUTM, addr, self.tile,
                     (self._home_of(addr),),
                     requester=self.tile, payload=payload))

@@ -31,19 +31,6 @@ unique incrementing stamp per touch (victim = min stamp, deterministic
 regardless of candidate order).  Passing a different ``policy_factory``
 (e.g. tree PLRU) switches to the pluggable per-(set, way) policy
 interface of :mod:`repro.cache.replacement`.
-
-Arena backing (the batched-hit fast path)
------------------------------------------
-
-An array normally owns plain Python containers.  Passing ``backing`` —
-a ``(tags, state, flags)`` triple of NumPy 1-D views, each ``num_sets *
-assoc`` long — makes those three columns live inside a caller-owned
-arena instead, so every private cache's tags can sit in one
-``(num_cores, slots)`` matrix and the coherence fast path
-(:mod:`repro.cpu.fastpath`) can probe *all* caches in a single
-vectorized pass.  Values and semantics are identical either way; the
-scalar controllers never notice the storage type (free slots keep the
-``-1`` tag sentinel, so a tag match alone proves residency).
 """
 
 from __future__ import annotations
@@ -149,26 +136,17 @@ class CacheArray:
 
     def __init__(self, params: CacheParams,
                  policy_factory: Callable[[int, int], ReplacementPolicy]
-                 = LRUPolicy, backing=None) -> None:
+                 = LRUPolicy) -> None:
         self.params = params
         self.num_sets = params.num_sets
         self.assoc = params.assoc
         self._set_mask = self.num_sets - 1  # num_sets is a power of two
         slots = self.num_sets * self.assoc
         # Parallel flat storage, indexed slot = set_index * assoc + way.
-        if backing is None:
-            self._tags: List[int] = [-1] * slots
-            self._state = bytearray(slots)
-            self._flags = bytearray(slots)
-        else:
-            tags, state, flags = backing
-            tags[:] = -1
-            state[:] = 0
-            flags[:] = 0
-            self._tags = tags
-            self._state = state
-            self._flags = flags
+        self._tags: List[int] = [-1] * slots
+        self._state = bytearray(slots)
         self._payload: List[int] = [0] * slots
+        self._flags = bytearray(slots)
         self._stamps: List[int] = [0] * slots
         self._stamp = 0
         #: line_addr -> slot (addresses are unique array-wide)
@@ -254,10 +232,8 @@ class CacheArray:
         else:
             candidates = list(slots)
         slot = self._pick_victim(candidates)
-        # int() casts keep arena-backed (NumPy) reads from leaking numpy
-        # scalars into dict keys, messages, or checkpoint JSON.
-        record = (int(self._tags[slot]), int(self._state[slot]),
-                  self._payload[slot], int(self._flags[slot]))
+        record = (self._tags[slot], self._state[slot],
+                  self._payload[slot], self._flags[slot])
         self.clear_slot(slot)
         return record
 
@@ -265,8 +241,8 @@ class CacheArray:
         """:meth:`evict_flat` for callers that discard the victim.
 
         The L1 refill path evicts write-through lines whose contents
-        nobody reads; skipping the record tuple (four element reads
-        plus casts) measurably cheapens the highest-churn storage
+        nobody reads; skipping the record tuple (four element reads)
+        measurably cheapens the highest-churn storage
         traffic in the hierarchy.  Victim choice is identical to
         :meth:`evict_flat` with ``skip_blocked=False``.
         """
@@ -280,13 +256,13 @@ class CacheArray:
         """Invalidate ``slot`` (detaching its view, if one exists)."""
         view = self._views[slot]
         if view is not None:
-            view._state = int(self._state[slot])
+            view._state = self._state[slot]
             view._payload = self._payload[slot]
-            view._flags = int(self._flags[slot])
+            view._flags = self._flags[slot]
             view._array = None
             view._slot = -1
             self._views[slot] = None
-        addr = int(self._tags[slot])
+        addr = self._tags[slot]
         del self._slot_of[addr]
         self._tags[slot] = -1
         self._free[slot // self.assoc].append(slot)
@@ -301,7 +277,7 @@ class CacheArray:
             view = CacheLine.__new__(CacheLine)
             view._array = self
             view._slot = slot
-            view._line_addr = int(self._tags[slot])
+            view._line_addr = self._tags[slot]
             view._state = 0
             view._payload = 0
             view._flags = 0
@@ -380,23 +356,3 @@ class CacheArray:
     def occupancy(self) -> int:
         return len(self._slot_of)
 
-
-def probe_sets(tags2d, cache_idx, set_idx, lines, way_offsets):
-    """Vectorized residency probe over an arena of tag columns.
-
-    ``tags2d`` is the ``(num_caches, slots)`` tag arena from
-    :class:`repro.cpu.fastpath.FastpathArena`; ``cache_idx``,
-    ``set_idx`` and ``lines`` are parallel K-vectors naming one
-    (cache, set, line) lookup each; ``way_offsets`` is
-    ``arange(assoc)`` reshaped ``(1, assoc)``.  Returns ``(hit, slot)``:
-    a K-bool residency mask and the matching flat slot per row
-    (undefined where ``hit`` is False).  Free slots hold tag -1 while
-    real lines are non-negative, so a tag match alone proves residency
-    — no occupancy sidecar is consulted.
-    """
-    assoc = way_offsets.shape[1]
-    cols = set_idx[:, None] * assoc + way_offsets
-    match = tags2d[cache_idx[:, None], cols] == lines[:, None]
-    hit = match.any(axis=1)
-    slot = set_idx * assoc + match.argmax(axis=1)
-    return hit, slot

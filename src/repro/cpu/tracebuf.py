@@ -39,7 +39,7 @@ from repro.cpu.traces import BARRIER, MemAccess, TraceRecord
 from repro.store import TRACE_SCHEMA_VERSION, Store, cache_disabled
 
 __all__ = ["TRACE_SCHEMA_VERSION", "TraceBuffer", "TraceCache",
-           "dump_buffers", "load_buffers", "trace_key", "concat_columns"]
+           "dump_buffers", "load_buffers", "trace_key"]
 
 _MAGIC = b"RTB1"
 _COLUMNS = ("addr", "is_write", "work", "insts", "pc")
@@ -252,23 +252,3 @@ class TraceCache:
         if store is not None:
             store.index("traces").clear()
 
-
-def concat_columns(buffers: List[TraceBuffer], np):
-    """Cross-core column views for the batched stepper.
-
-    Concatenates every buffer's ``addr`` and ``is_write`` columns into
-    two flat NumPy int64 arrays plus a per-core row-offset vector, so
-    core ``c``'s row ``i`` lives at ``offsets[c] + i`` in both.  Traces
-    are immutable after compilation, so the copies taken here stay
-    valid for the simulation's lifetime.  NumPy is passed in by the
-    caller to keep this module importable without it.
-    """
-    addr_views = [np.frombuffer(buf.addr, dtype=np.int64)
-                  for buf in buffers]
-    iw_views = [np.frombuffer(buf.is_write, dtype=np.int64)
-                for buf in buffers]
-    lengths = np.fromiter((len(view) for view in addr_views),
-                          np.int64, len(buffers))
-    offsets = np.zeros(len(buffers), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    return np.concatenate(addr_views), np.concatenate(iw_views), offsets

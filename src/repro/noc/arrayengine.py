@@ -60,8 +60,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import SimulationError
-from repro.common.messages import (CoherenceMsg, MsgType, TrafficClass,
-                                   recycle_msg)
+from repro.common.messages import CoherenceMsg, MsgType, TrafficClass
 from repro.common.params import NoCParams
 from repro.common.scheduler import NEVER, Scheduler
 from repro.common.stats import StatGroup
@@ -434,7 +433,7 @@ class ArrayNetwork:
         self._s_push[slots] = False
 
     def _drop_request(self, slot: int) -> None:
-        """Consume a filtered GETS: free its VC slot and its message."""
+        """Consume a filtered GETS: free its VC slot and its packet."""
         pix = int(self._s_pix[slot])
         packet = self._pkt[pix]
         self._clear_slot(slot)
@@ -443,7 +442,6 @@ class ArrayNetwork:
         self._c_requests_filtered.value += 1
         if self.request_filtered_hook is not None:
             self.request_filtered_hook(packet.msg)
-        recycle_msg(packet.msg)
 
     def _stationary_filter(self, key: int, line: int, dests) -> None:
         """Drop same-line GETS buffered — or already in flight toward —

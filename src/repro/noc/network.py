@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
-from repro.common.messages import CoherenceMsg, TrafficClass, recycle_msg
+from repro.common.messages import CoherenceMsg, TrafficClass
 from repro.common.params import NoCParams
 from repro.common.scheduler import NEVER, Scheduler
 from repro.common.stats import StatGroup
@@ -311,9 +311,6 @@ class Network:
         self._c_requests_filtered.value += 1
         if self.request_filtered_hook is not None:
             self.request_filtered_hook(packet.msg)
-        # The filter is this request's terminal sink: it never reaches
-        # the LLC, so its message is consumed here.
-        recycle_msg(packet.msg)
 
     def mark_router_active(self, router: Router) -> None:
         # Called from the event phase (an accept); the new packet leaves

@@ -100,10 +100,8 @@ def _dump_array(arr: CacheArray) -> Dict:
     flags, stamps = arr._flags, arr._stamps
     return {
         "stamp": arr._stamp,
-        # int() casts: arena-backed arrays (repro.cpu.fastpath) hand
-        # back NumPy scalars, which json.dumps rejects.
-        "lines": [[addr, slot, int(state[slot]), payload[slot],
-                   int(flags[slot]), stamps[slot]]
+        "lines": [[addr, slot, state[slot], payload[slot], flags[slot],
+                   stamps[slot]]
                   for addr, slot in arr._slot_of.items()],
         "free": [list(free) for free in arr._free],
     }
@@ -118,13 +116,10 @@ def _load_array(arr: CacheArray, snap: Dict) -> None:
     # Mutate every container in place: hot paths hold bound references
     # (e.g. ``_slot_of.get``) into them.
     arr._slot_of.clear()
-    # List right-hand sides work for both storages a CacheArray may
-    # have: bytearray (standalone) and NumPy arena rows (fast path);
-    # a ``bytes`` object would only slice-assign into the former.
     arr._tags[:] = [-1] * slots
-    arr._state[:] = [0] * slots
+    arr._state[:] = bytes(slots)
     arr._payload[:] = [0] * slots
-    arr._flags[:] = [0] * slots
+    arr._flags[:] = bytes(slots)
     arr._stamps[:] = [0] * slots
     arr._views[:] = [None] * slots
     for addr, slot, state, payload, flags, stamp in snap["lines"]:

@@ -387,8 +387,8 @@ class CostModel:
 # worker-side execution
 # ---------------------------------------------------------------------------
 
-#: set by the pool initializer; gates worker-only assertions so the
-#: in-process execution path never trips them in the parent
+#: set by the pool initializer; gates the worker-only GC check so the
+#: in-process execution path never trips it in the parent
 _IN_WORKER = False
 
 #: the process's memoizing checkpoint store (lazy; see _worker_ckpt_store)
@@ -437,8 +437,13 @@ def reset_worker_memo() -> None:
 
 
 def _assert_parked() -> None:
-    if _IN_WORKER and os.environ.get("REPRO_ASSERT_GC_PARKED"):
-        assert not gc.isenabled(), "sweep worker GC was not parked"
+    """Fail the task if this worker's cyclic GC is not parked.
+
+    A plain ``raise`` rather than ``assert``, so the check survives
+    ``python -O``.
+    """
+    if _IN_WORKER and gc.isenabled():
+        raise RuntimeError("sweep worker GC was not parked")
 
 
 def _simulate(point: SweepPoint) -> Dict:

@@ -35,7 +35,7 @@ from repro.cache.llc import LLCSlice
 from repro.cache.memory import MemoryController
 from repro.cache.private_cache import PrivateCache
 from repro.cpu.core import Barrier, Core
-from repro.cpu.fastpath import fastpath_enabled, make_arena
+from repro.cpu.fastpath import fastpath_enabled
 from repro.cpu.traces import TraceRecord
 from repro.noc.functional import FunctionalNetwork
 from repro.noc.network import Network
@@ -93,17 +93,12 @@ class System:
         ]
 
         # Batched coherence fast path (repro.cpu.fastpath): a stepper
-        # built lazily once every core is buffer-backed, plus — on
-        # fabrics big enough for the vectorized probe pass to engage —
-        # cross-core SRAM arenas whose rows back each private cache's
-        # storage.  Prefetcher configs opt out — a prefetcher trains on
-        # every demand access, so nothing would classify as a clean hit
-        # and the classification pass would be pure overhead.
+        # built lazily once every core is buffer-backed.  Prefetcher
+        # configs opt out — a prefetcher trains on every demand access,
+        # so no access would retire as a clean hit and the walk would be
+        # pure overhead.
         self._stepper = None
-        self._fp_arena = None
         self._fp_eligible = fastpath_enabled() and not params.prefetch.enabled
-        if self._fp_eligible:
-            self._fp_arena = make_arena(params)
 
         self.caches: List[PrivateCache] = []
         self.slices: List[LLCSlice] = []
@@ -111,9 +106,7 @@ class System:
         for tile in range(params.num_cores):
             cache = PrivateCache(
                 tile, params, self.scheduler, self.network.send,
-                self._home_of, stats=self.stats.child(f"l2_{tile}"),
-                backing=(self._fp_arena.backing(tile)
-                         if self._fp_arena is not None else None))
+                self._home_of, stats=self.stats.child(f"l2_{tile}"))
             llc = LLCSlice(
                 tile, params, self.scheduler, self.network.send,
                 self._home_of, self._mem_ctrl_of, self.versions,

@@ -33,6 +33,11 @@ SCHEMES = ("baseline", "noprefetch", "coalesce", "msp", "pushack",
 POINT = dict(workload="cachebw", num_cores=16, seed=1,
              array_lines=256, iters=3)
 
+#: a 128-core array-engine point: the walk must stay exact on the
+#: largest fabrics too, where many cores step in the same bucket
+POINT_128C = dict(workload="cachebw", num_cores=128, seed=1,
+                  array_lines=256, iters=2, engine="array")
+
 
 @pytest.fixture(autouse=True)
 def _restore_fastpath():
@@ -42,19 +47,21 @@ def _restore_fastpath():
     set_fastpath(enabled)
 
 
-def _stat_tree(config: str) -> dict:
+def _stat_tree(config: str, point: dict = POINT) -> dict:
     """Full stats snapshot for one run: every counter + histogram."""
-    params = make_params(config, num_cores=POINT["num_cores"],
+    params = make_params(config, num_cores=point["num_cores"],
+                         engine=point.get("engine", "event"),
                          **bench_kwargs())
-    traces = build_trace_buffers(POINT["workload"],
-                                 num_cores=POINT["num_cores"],
-                                 seed=POINT["seed"],
-                                 array_lines=POINT["array_lines"],
-                                 iters=POINT["iters"])
+    traces = build_trace_buffers(point["workload"],
+                                 num_cores=point["num_cores"],
+                                 seed=point["seed"],
+                                 array_lines=point["array_lines"],
+                                 iters=point["iters"])
     system = System(params)
     system.attach_workload(traces)
     cycles = system.run(max_cycles=5_000_000)
-    snapshot = {"cycles": cycles, "counters": system.stats.flatten()}
+    snapshot = {"cycles": cycles, "counters": system.stats.flatten(),
+                "stepped": system._stepper is not None}
     _collect_histograms(system.stats, "", snapshot.setdefault("hists", {}))
     return snapshot
 
@@ -68,12 +75,12 @@ def _collect_histograms(group, prefix: str, out: dict) -> None:
         _collect_histograms(child, f"{base}.", out)
 
 
-@pytest.mark.parametrize("config", SCHEMES)
-def test_stat_tree_bit_identical(config: str) -> None:
+def _assert_identical(config: str, point: dict = POINT) -> dict:
+    """Fast-on vs forced-off stat trees must match; returns the fast one."""
     set_fastpath(True)
-    fast = _stat_tree(config)
+    fast = _stat_tree(config, point)
     set_fastpath(False)
-    scalar = _stat_tree(config)
+    scalar = _stat_tree(config, point)
 
     assert fast["cycles"] == scalar["cycles"]
     assert fast["hists"] == scalar["hists"]
@@ -84,6 +91,17 @@ def test_stat_tree_bit_identical(config: str) -> None:
         f"{config}: fast path diverged on {sorted(mismatched)}: "
         f"{mismatched}")
     assert set(fast["counters"]) == set(scalar["counters"])
+    return fast
+
+
+@pytest.mark.parametrize("config", SCHEMES)
+def test_stat_tree_bit_identical(config: str) -> None:
+    _assert_identical(config)
+
+
+def test_stat_tree_bit_identical_128c_array() -> None:
+    fast = _assert_identical("ordpush", POINT_128C)
+    assert fast["stepped"]  # not vacuous: the batched stepper ran
 
 
 def test_window_stall_counter_moves_on_this_point() -> None:

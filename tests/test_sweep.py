@@ -194,13 +194,22 @@ class TestTraceSharing:
 class TestWorkerGCParking:
     def test_workers_run_with_gc_parked(self, monkeypatch) -> None:
         """The pool initializer disables the cyclic GC in every worker;
-        the in-worker assert fires (failing the sweep) if it did not."""
-        monkeypatch.setenv("REPRO_ASSERT_GC_PARKED", "1")
+        the in-worker check raises (failing the sweep) if it did not."""
         monkeypatch.setenv("REPRO_SWEEP_EXACT_JOBS", "1")
         points = [SweepPoint.make("pathfinder", config, seed=779, **FAST)
                   for config in ("noprefetch", "ordpush")]
         results = run_sweep(points, jobs=2)
         assert all(r.cycles > 0 for r in results)
+
+    def test_unparked_worker_gc_raises(self, monkeypatch) -> None:
+        """The check needs no opt-in and is a raise, not an ``assert``
+        that ``python -O`` would strip."""
+        from repro.sim import sweep
+
+        monkeypatch.setattr(sweep, "_IN_WORKER", True)
+        monkeypatch.setattr(sweep.gc, "isenabled", lambda: True)
+        with pytest.raises(RuntimeError, match="GC was not parked"):
+            sweep._assert_parked()
 
 
 class TestRunComparisonRewired:
