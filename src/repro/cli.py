@@ -19,9 +19,8 @@ seeds, optionally sampled) incrementally through the result store and
 prints its error-bar report; ``cache`` inspects, garbage-collects, and
 synchronizes the on-disk cache tree (``cache push --remote PATH`` /
 ``cache pull --remote PATH`` move entries and only the missing
-content-addressed objects between two roots; ``cache migrate`` adopts a
-pre-unification tree); ``list`` shows the workload catalogue and the
-named configurations.
+content-addressed objects between two roots); ``list`` shows the
+workload catalogue and the named configurations.
 
 ``run``/``compare``/``sweep`` accept ``--warmup-barriers N`` (and
 ``--warmup-mode functional``) to amortize cache warmup through the
@@ -320,12 +319,11 @@ def _format_bytes(size: int) -> str:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.sim.cachemgmt import cache_gc, cache_root, cache_stats
-    from repro.store import Store, pull, push
+    from repro.store import Store, cache_root, pull, push
 
     root = cache_root(args.dir)
     if args.cache_command == "stats":
-        stats = cache_stats(root)
+        stats = Store(root).stats()
         print(f"cache root: {root}")
         print(f"{'section':14s}{'entries':>9s}{'bytes':>14s}")
         for section, row in stats.items():
@@ -333,20 +331,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                   f"{_format_bytes(row['bytes']):>14s}")
         return 0
     if args.cache_command == "gc":
-        report = cache_gc(args.max_bytes, root)
+        report = Store(root).gc(args.max_bytes)
         print(f"cache root: {root}")
         print(f"removed {report['removed']} entries "
               f"({_format_bytes(report['removed_bytes'])}); "
               f"{_format_bytes(report['remaining_bytes'])} remain")
-        return 0
-    if args.cache_command == "migrate":
-        report = Store(root).migrate()
-        print(f"cache root: {root}")
-        for section, count in report.items():
-            if section != "total":
-                print(f"  {section:14s}{count:6d} adopted")
-        print(f"adopted {report['total']} legacy entries into the "
-              "object store")
         return 0
     # push / pull: index diff + missing-object transfer between roots
     sync = push if args.cache_command == "push" else pull
@@ -585,13 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="local cache root (default "
                                  "REPRO_CACHE_DIR or .repro_cache)")
         sync_p.set_defaults(func=_cmd_cache)
-    migrate_p = cache_sub.add_parser(
-        "migrate", help="adopt a pre-unification cache tree into the "
-                        "object/index layout in one pass")
-    migrate_p.add_argument("--dir", default=None,
-                           help="cache root (default REPRO_CACHE_DIR "
-                                "or .repro_cache)")
-    migrate_p.set_defaults(func=_cmd_cache)
 
     list_p = sub.add_parser("list", help="show workloads and configs")
     list_p.set_defaults(func=_cmd_list)

@@ -525,8 +525,6 @@ class CheckpointStore:
     treats unreadable, corrupt, or version-mismatched entries as
     misses — with a warning through the store's single fallback path —
     so a bad checkpoint can only cost a cold rebuild, never a crash.
-    Pre-unification ``ckpt/<key>.json.gz`` files are migrated in place
-    on first lookup.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -568,8 +566,7 @@ class CheckpointStore:
             return None
         # The entry-level schema guards the container; the snapshot
         # still carries its own version so a payload written by other
-        # tooling (or migrated verbatim from a legacy tree) is vetted
-        # before restore_system would trip over it.
+        # tooling is vetted before restore_system would trip over it.
         if not isinstance(state, dict) or \
                 state.get("version") != CKPT_SCHEMA_VERSION:
             version = state.get("version") if isinstance(state, dict) \
@@ -623,9 +620,7 @@ class MemoCheckpointStore(CheckpointStore):
     handing the same dict to every restore safe.
 
     ``put`` memoizes too: the worker that builds a warm image serves
-    its own batch without ever re-reading what it just wrote.  The
-    sweep executor skips this class entirely under
-    ``REPRO_NO_WORKER_MEMO``.
+    its own batch without ever re-reading what it just wrote.
     """
 
     def __init__(self, root: Union[str, Path, None] = None,

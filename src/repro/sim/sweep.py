@@ -38,8 +38,8 @@ A point's key is the SHA-256 of a canonical JSON document containing:
   including defaults applied by ``make_params``, changes the key;
 * the workload spec: name, core count, seed, and sizing keywords;
 * ``max_cycles``; and
-* :data:`CACHE_SCHEMA_VERSION` — bump it whenever simulator semantics
-  change so stale results can never be replayed.
+* :data:`~repro.store.index.RESULT_SCHEMA_VERSION` — bump it whenever
+  simulator semantics change so stale results can never be replayed.
 
 The **cost key** is the same document with the seed blanked: seeds
 perturb a run without changing its scale, so all seed replicas of a
@@ -61,14 +61,12 @@ regardless of ``jobs``, scheduling order, or memo state;
 :func:`run_sweep` returns results in submission order.  The in-process
 memos only short-circuit *reads* of immutable content-addressed data
 (parsed warm snapshots, compiled trace buffers), never simulation
-state; ``REPRO_NO_WORKER_MEMO=1`` disables them for A/B verification.
+state.
 
 Worker-count policy: ``jobs=0`` (or None) means one worker per CPU,
 and the executor never runs more workers than CPUs (or than pending
 points) — oversubscribing a small machine costs real wall time.  A
-single effective worker runs in-process with no pool at all.  Set
-``REPRO_SWEEP_EXACT_JOBS=1`` to force the requested count (tests use
-it to exercise real worker pools on single-CPU machines).
+single effective worker runs in-process with no pool at all.
 """
 
 from __future__ import annotations
@@ -88,11 +86,6 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
 
 from repro.sim.results import SimResult
 from repro.store import RESULT_SCHEMA_VERSION, Store, cache_disabled, cache_root
-
-#: The result-record schema version (see :mod:`repro.store.index`,
-#: which owns every namespace's version and the bump history);
-#: re-exported under the name this module always used.
-CACHE_SCHEMA_VERSION = RESULT_SCHEMA_VERSION
 
 #: Hard cap on points per scheduled chunk: keeps one straggling chunk
 #: from serializing a large warm-affinity group even when the cost
@@ -194,7 +187,7 @@ def _point_spec(point: SweepPoint) -> Dict:
         point.workload, point.config, point.num_cores,
         **dict(point.kwargs))
     return {
-        "schema": CACHE_SCHEMA_VERSION,
+        "schema": RESULT_SCHEMA_VERSION,
         "params": asdict(params),
         "workload": {
             "name": point.workload,
@@ -244,12 +237,11 @@ class ResultCache:
     """:class:`SimResult` records as a typed view over the unified store.
 
     A thin wrapper around the store's ``results`` index: keys map to
-    content-addressed objects holding the sorted-JSON record, writes
-    are atomic, and pre-unification root-level ``<key>.json`` files
-    are migrated in place on first lookup.  ``REPRO_NO_CACHE`` is
-    honored per call (see :func:`repro.store.cache_disabled`): a
-    disabled cache reads as all-miss and swallows writes, exactly like
-    the trace and checkpoint stores.
+    content-addressed objects holding the sorted-JSON record, and
+    writes are atomic.  ``REPRO_NO_CACHE`` is honored per call (see
+    :func:`repro.store.cache_disabled`): a disabled cache reads as
+    all-miss and swallows writes, exactly like the trace and checkpoint
+    stores.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -415,15 +407,15 @@ def _init_worker() -> None:
 
 
 def _worker_ckpt_store():
-    """This process's memoizing warm-state store (None = memo off).
+    """This process's memoizing warm-state store.
 
     One per process — the pool's workers each build their own lazily,
     and the in-process execution path shares the parent's — so a warm
     image is read and parsed once per process, not once per point.
+    Callers treat None as memo off (plain store reads); the memo-off
+    A/B tests patch this function to return it.
     """
     global _WORKER_CKPT
-    if os.environ.get("REPRO_NO_WORKER_MEMO"):
-        return None
     if _WORKER_CKPT is None:
         from repro.sim.checkpoint import MemoCheckpointStore
         _WORKER_CKPT = MemoCheckpointStore(memo_limit=_CKPT_MEMO_LIMIT)
@@ -605,12 +597,8 @@ def _effective_workers(jobs: Optional[int], tasks: int) -> int:
 
     Capped at the CPU count — oversubscribing a small machine is a
     pure loss for CPU-bound simulation — and at the task count.
-    ``REPRO_SWEEP_EXACT_JOBS=1`` lifts the CPU cap (tests use it to
-    exercise real multi-worker pools on single-CPU machines).
     """
-    jobs = resolve_jobs(jobs)
-    if not os.environ.get("REPRO_SWEEP_EXACT_JOBS"):
-        jobs = min(jobs, os.cpu_count() or 1)
+    jobs = min(resolve_jobs(jobs), os.cpu_count() or 1)
     return max(1, min(jobs, tasks))
 
 

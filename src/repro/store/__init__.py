@@ -9,7 +9,7 @@ One storage layer now serves the three caches that grew up separately
   of their stored bytes, with verification, dedup, and deterministic
   streaming gzip;
 * :mod:`repro.store.index` — typed key -> digest namespaces owning
-  schema versions, fallback policy, and legacy-layout migration;
+  schema versions and fallback policy;
 * :mod:`repro.store.store` — the :class:`Store` facade plus unified
   stats / LRU garbage collection;
 * :mod:`repro.store.sync` — ``push``/``pull`` between two roots,

@@ -97,8 +97,8 @@ class Backend(ABC):
     def local_root(self) -> Optional[Path]:
         """The local directory backing this store, if there is one.
 
-        Legacy-layout migration only applies to backends that answer —
-        a true remote has no pre-refactor tree to migrate.
+        Only backends that answer expose local entry and object paths
+        (:meth:`Index.entry_path`, :meth:`Store.object_path`).
         """
         return None
 

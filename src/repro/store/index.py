@@ -18,18 +18,12 @@ never stale data replayed under new semantics.  (The three stores each
 used to carry their own copy of this logic; the per-store constants
 below are the authoritative ones now, re-exported by the old modules.)
 
-Namespaces also know their **legacy layout** — the pre-unification
-``.repro_cache/`` tree (root-level ``<key>.json`` results,
-``traces/<key>.bin`` buffers, ``ckpt/<key>.json.gz`` snapshots).  A
-lookup that misses the index checks the legacy location and migrates
-the file into the object tree in place (bytes and timestamps
-preserved), so an existing warm cache keeps hitting across the layout
-change with no silent cold start.
+The ``index/`` and ``objects/`` trees are the only layout an index
+reads, writes or deletes; nothing else under the root is touched.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import warnings
@@ -38,7 +32,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional, Union
 
 from repro.store.backend import Backend
-from repro.store.objects import ObjectStore, decode
+from repro.store.objects import ObjectStore
 
 #: Result-record schema.  Bump when simulator behavior changes in any
 #: result-visible way; every previously cached entry becomes
@@ -83,25 +77,16 @@ class Namespace:
     schema: int
     #: object codec for this namespace's payloads
     codec: str
-    #: pre-unification location: subdirectory (``""`` = cache root)
-    legacy_subdir: str
-    #: pre-unification filename suffix appended to the key
-    legacy_suffix: str
     #: emit a RuntimeWarning when an entry is discarded (the
     #: checkpoint store has always warned; results/traces miss quietly)
     warn_on_fallback: bool = False
 
-    def legacy_rel(self, key: str) -> str:
-        name = f"{key}{self.legacy_suffix}"
-        return f"{self.legacy_subdir}/{name}" if self.legacy_subdir else name
-
 
 NAMESPACES: Dict[str, Namespace] = {
     ns.name: ns for ns in (
-        Namespace("results", RESULT_SCHEMA_VERSION, "raw", "", ".json"),
-        Namespace("traces", TRACE_SCHEMA_VERSION, "raw", "traces", ".bin"),
-        Namespace("ckpt", CKPT_SCHEMA_VERSION, "gzip", "ckpt", ".json.gz",
-                  warn_on_fallback=True),
+        Namespace("results", RESULT_SCHEMA_VERSION, "raw"),
+        Namespace("traces", TRACE_SCHEMA_VERSION, "raw"),
+        Namespace("ckpt", CKPT_SCHEMA_VERSION, "gzip", warn_on_fallback=True),
     )
 }
 
@@ -157,12 +142,6 @@ class Index:
         root = self.backend.local_root()
         return None if root is None else root / self.entry_rel(key)
 
-    def _legacy_path(self, key: str) -> Optional[Path]:
-        root = self.backend.local_root()
-        if root is None:
-            return None
-        return root / self.namespace.legacy_rel(key)
-
     # -- reads ------------------------------------------------------------
 
     def keys(self) -> Iterator[str]:
@@ -177,13 +156,10 @@ class Index:
             warn_fallback(self.namespace.name, key, reason)
 
     def has(self, key: str) -> bool:
-        """Whether ``key`` resolves to a trusted entry (or an adoptable
-        legacy file) without reading the payload."""
+        """Whether ``key`` resolves to a trusted entry, without reading
+        the payload."""
         self.check_key(key)
-        if self.read_entry(key, quiet=True) is not None:
-            return True
-        legacy = self._legacy_path(key)
-        return legacy is not None and legacy.is_file()
+        return self.read_entry(key, quiet=True) is not None
 
     def entries(self) -> Iterator:
         """``(key, entry)`` for every trusted entry in this namespace.
@@ -225,8 +201,6 @@ class Index:
         untrusted goes through the namespace's fallback policy.
         """
         self.check_key(key)
-        if not self.backend.exists(self.entry_rel(key)):
-            return self._migrate_legacy(key)
         entry = self.read_entry(key)
         if entry is None:
             return None
@@ -258,11 +232,6 @@ class Index:
         self.backend.write(
             self.entry_rel(key),
             json.dumps(entry, sort_keys=True).encode("utf-8"))
-        legacy = self._legacy_path(key)
-        if legacy is not None:
-            # A key never lives in both layouts: a stale legacy twin
-            # would double-count in stats and shadow nothing.
-            legacy.unlink(missing_ok=True)
         return entry
 
     def put_bytes(self, key: str, payload: bytes,
@@ -291,8 +260,8 @@ class Index:
         self.backend.delete(self.entry_rel(key))
 
     def clear(self) -> int:
-        """Remove every entry (and legacy twin) in this namespace plus
-        the objects nothing else references; returns entries removed."""
+        """Remove every entry in this namespace plus the objects nothing
+        else references; returns entries removed."""
         removed = 0
         mine = set()
         for key in list(self.keys()):
@@ -301,49 +270,6 @@ class Index:
                 mine.add(entry["digest"])
             self.backend.delete(self.entry_rel(key))
             removed += 1
-        root = self.backend.local_root()
-        if root is not None:
-            directory = (root / self.namespace.legacy_subdir
-                         if self.namespace.legacy_subdir else root)
-            if directory.is_dir():
-                for path in directory.glob(f"*{self.namespace.legacy_suffix}"):
-                    path.unlink(missing_ok=True)
-                    removed += 1
         for digest in mine - referenced_digests(self.backend):
             self.objects.delete(digest)
         return removed
-
-    # -- legacy migration --------------------------------------------------
-
-    def _migrate_legacy(self, key: str) -> Optional[bytes]:
-        """Adopt a pre-unification cache file for ``key``, if present.
-
-        The file's bytes become the stored object verbatim (legacy
-        checkpoints are already the gzip stream this namespace's codec
-        describes), its mtime carries over so LRU eviction keeps the
-        true age, and the legacy file is removed once the entry lands.
-        Returns the decoded payload, or None when there is nothing (or
-        nothing trustworthy) to adopt.
-        """
-        path = self._legacy_path(key)
-        if path is None or not path.is_file():
-            return None
-        try:
-            stored = path.read_bytes()
-            stat = path.stat()
-        except OSError:
-            return None
-        try:
-            payload = decode(stored, self.namespace.codec)
-        except ValueError as exc:
-            # Corrupt legacy files stay put (exactly as unreadable
-            # entries always have) and read as misses.
-            self._fallback(key, f"corrupt legacy entry: {exc}")
-            return None
-        existed = self.objects.has(hashlib.sha256(stored).hexdigest())
-        digest, size = self.objects.put_stored(stored)
-        if not existed:
-            self.objects.backend.utime(ObjectStore.rel_for(digest),
-                                       (stat.st_atime, stat.st_mtime))
-        self._write_entry(key, digest, size)
-        return payload

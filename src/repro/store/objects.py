@@ -9,9 +9,8 @@ three properties cheap:
   corruption (a flipped bit becomes a cache miss, never bad data);
 * **dedup** — identical content is written once, however many index
   keys point at it;
-* **migration** — a legacy cache file moves into the object tree by
-  hashing it as-is, byte for byte, preserving sizes and (explicitly)
-  timestamps.
+* **sync** — two roots compare objects by name alone, so push/pull
+  copies exactly the digests the other side lacks.
 
 Compression is a *codec* recorded by the index entry, not baked into
 the object name: ``raw`` stores payload bytes verbatim, ``gzip``

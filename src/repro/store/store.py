@@ -8,20 +8,18 @@ against, and what the thin per-kind views (``ResultCache``,
 ``TraceCache``, ``CheckpointStore``) build on.
 
 Accounting (``stats``) and LRU garbage collection (``gc``) run over
-the unified index *and* any not-yet-migrated legacy files, so a
-pre-unification ``.repro_cache/`` tree reports the exact entry counts
-and byte totals it always did, and eviction order still follows true
-file age.  Reported bytes are payload bytes (objects and legacy
-files); the few-hundred-byte index entries are bookkeeping and ride
-along with their entry on eviction.
+the typed indexes only: a file the store did not write is never
+counted or evicted.  Reported bytes are object (payload) bytes; the
+few-hundred-byte index entries are bookkeeping and ride along with
+their entry on eviction.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
-from repro.store.backend import Backend, cache_root, open_backend
+from repro.store.backend import Backend, open_backend
 from repro.store.index import NAMESPACES, Index
 from repro.store.objects import ObjectStore
 
@@ -31,19 +29,17 @@ SECTION_LABELS = {"results": "results", "traces": "traces",
 
 
 class _Item:
-    """One reclaimable cache item (an indexed entry or a legacy file)."""
+    """One reclaimable cache item: an indexed entry and its object."""
 
-    __slots__ = ("namespace", "key", "size", "mtime", "digest", "legacy")
+    __slots__ = ("namespace", "key", "size", "mtime", "digest")
 
     def __init__(self, namespace: str, key: str, size: int, mtime: float,
-                 digest: Optional[str] = None,
-                 legacy: Optional[Path] = None) -> None:
+                 digest: Optional[str] = None) -> None:
         self.namespace = namespace
         self.key = key
         self.size = size
         self.mtime = mtime
         self.digest = digest
-        self.legacy = legacy
 
 
 class Store:
@@ -71,13 +67,7 @@ class Store:
 
     def entries(self, namespace: str) -> Dict[str, Dict]:
         """Every readable, schema-current entry in a namespace."""
-        index = self.index(namespace)
-        out: Dict[str, Dict] = {}
-        for key in index.keys():
-            entry = index.read_entry(key, quiet=True)
-            if entry is not None:
-                out[key] = entry
-        return out
+        return dict(self.index(namespace).entries())
 
     def object_path(self, digest: str) -> Optional[Path]:
         """Local path of an object file (None for true remotes)."""
@@ -85,18 +75,6 @@ class Store:
         return None if root is None else root / ObjectStore.rel_for(digest)
 
     # -- inventory / stats / gc -------------------------------------------
-
-    def _legacy_files(self, namespace: str) -> Iterator[Path]:
-        root = self.backend.local_root()
-        if root is None:
-            return
-        ns = NAMESPACES[namespace]
-        directory = root / ns.legacy_subdir if ns.legacy_subdir else root
-        if not directory.is_dir():
-            return
-        for path in sorted(directory.glob(f"*{ns.legacy_suffix}")):
-            if path.is_file():
-                yield path
 
     def inventory(self) -> List[_Item]:
         """Every cache item with its payload size and age."""
@@ -118,15 +96,6 @@ class Store:
                     except OSError:
                         pass
                 items.append(_Item(namespace, key, size, mtime, digest))
-            ns = NAMESPACES[namespace]
-            for path in self._legacy_files(namespace):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                key = path.name[:-len(ns.legacy_suffix)]
-                items.append(_Item(namespace, key, stat.st_size,
-                                   stat.st_mtime, legacy=path))
         return items
 
     def stats(self) -> Dict[str, Dict]:
@@ -167,43 +136,13 @@ class Store:
         for item in items:
             if total <= max_bytes:
                 break
-            if item.legacy is not None:
-                try:
-                    item.legacy.unlink()
-                except OSError:
-                    continue
-            else:
-                self.index(item.namespace).delete(item.key)
-                if item.digest is not None:
-                    refs[item.digest] -= 1
-                    if not refs[item.digest]:
-                        self.objects.delete(item.digest)
+            self.index(item.namespace).delete(item.key)
+            if item.digest is not None:
+                refs[item.digest] -= 1
+                if not refs[item.digest]:
+                    self.objects.delete(item.digest)
             total -= item.size
             removed += 1
             removed_bytes += item.size
         return {"removed": removed, "removed_bytes": removed_bytes,
                 "remaining_bytes": total}
-
-    # -- migration ---------------------------------------------------------
-
-    def migrate(self) -> Dict[str, int]:
-        """Adopt every legacy-layout file into the object/index tree.
-
-        Lazy per-key migration already happens on lookup; this walks
-        the whole tree at once (used before a sync, so legacy entries
-        travel too).  Returns per-section adopted-entry counts.
-        """
-        report = {label: 0 for label in SECTION_LABELS.values()}
-        for namespace in NAMESPACES:
-            index = self.index(namespace)
-            ns = NAMESPACES[namespace]
-            for path in list(self._legacy_files(namespace)):
-                key = path.name[:-len(ns.legacy_suffix)]
-                try:
-                    Index.check_key(key)
-                except ValueError:
-                    continue
-                if index._migrate_legacy(key) is not None:
-                    report[SECTION_LABELS[namespace]] += 1
-        report["total"] = sum(report.values())
-        return report

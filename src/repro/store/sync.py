@@ -9,8 +9,7 @@ files land, so a concurrent reader of the destination never sees an
 entry whose object has not arrived yet.
 
 ``push`` moves local state to a remote, ``pull`` is the same diff run
-the other way.  Both migrate legacy-layout trees first (when the side
-has a local root), so a pre-unification cache participates fully.
+the other way.  Only the ``index/`` and ``objects/`` trees take part.
 Object timestamps carry over best-effort, keeping LRU eviction honest
 on the receiving side.
 
@@ -37,8 +36,6 @@ def _as_store(target: Union[Store, str, Path, None]) -> Store:
 
 def _sync(src: Store, dst: Store) -> Dict[str, Dict[str, int]]:
     """Copy index entries and missing objects from ``src`` to ``dst``."""
-    src.migrate()
-    dst.migrate()
     report: Dict[str, Dict[str, int]] = {}
     for namespace in NAMESPACES:
         src_entries = src.entries(namespace)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.common.params import NoCParams
@@ -13,6 +15,15 @@ def pytest_collection_modifyitems(items) -> None:
     """Tag every tier-1 test with the ``quick`` marker."""
     for item in items:
         item.add_marker(pytest.mark.quick)
+
+
+@pytest.fixture
+def many_cpus(monkeypatch) -> int:
+    """Report 8 CPUs, so a sweep launches the multi-worker pool it asks
+    for: the executor caps workers at the CPU count and would run
+    in-process on a small machine."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    return 8
 
 
 @pytest.fixture

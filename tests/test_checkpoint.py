@@ -213,7 +213,7 @@ class TestStoreRobustness:
     def test_version_mismatch_falls_back_to_cold(
             self, tmp_path, monkeypatch) -> None:
         """A snapshot payload from a different layout generation (e.g.
-        migrated verbatim from an old tree) warns and rebuilds cold."""
+        written by other tooling) warns and rebuilds cold."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         store = CheckpointStore()
         clean = run_workload(**self._warm_kwargs(store))

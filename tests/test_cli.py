@@ -131,8 +131,8 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "gc", "--max-bytes", "0"]) == 0
         assert "removed" in capsys.readouterr().out
-        from repro.sim.cachemgmt import cache_stats
-        assert cache_stats()["total"]["bytes"] == 0
+        from repro.store import Store
+        assert Store().stats()["total"]["bytes"] == 0
 
     def test_push_pull_round_trip(self, capsys, tmp_path,
                                   monkeypatch) -> None:
@@ -158,27 +158,20 @@ class TestCacheCommand:
         assert set(Store(other).index("ckpt").keys()) == \
             set(local.index("ckpt").keys())
 
-    def test_migrate_adopts_legacy_tree(self, capsys, tmp_path) -> None:
-        import json as jsonmod
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
-        (legacy / ("a" * 64 + ".json")).write_text(
-            jsonmod.dumps({"cycles": 1}))
-        assert main(["cache", "migrate", "--dir", str(legacy)]) == 0
-        assert "adopted 1 legacy entries" in capsys.readouterr().out
-        assert not list(legacy.glob("*.json"))
-
-    def test_gc_keeps_newest_entries(self, tmp_path) -> None:
+    def test_gc_keeps_newest_entries(self, capsys, tmp_path) -> None:
         import os
-        from repro.sim.cachemgmt import cache_gc
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        old.write_text("x" * 100)
-        new.write_text("y" * 100)
-        os.utime(old, (1, 1))
-        report = cache_gc(150, tmp_path)
-        assert report["removed"] == 1
-        assert not old.exists() and new.exists()
+        from repro.store import Store
+        store = Store(tmp_path)
+        results = store.index("results")
+        results.put_bytes("old", b"x" * 100)
+        results.put_bytes("new", b"y" * 100)
+        old_digest = results.read_entry("old")["digest"]
+        os.utime(store.object_path(old_digest), (1, 1))
+        assert main(["cache", "gc", "--max-bytes", "150",
+                     "--dir", str(tmp_path)]) == 0
+        assert "removed 1 entries" in capsys.readouterr().out
+        assert not results.has("old") and results.has("new")
+        assert not store.objects.has(old_digest)
 
 
 class TestTopologyFlags:

@@ -206,13 +206,12 @@ class TestEarlyStop:
     POLICY = SamplingPolicy(samples=4, sample_cycles=1500, wave=2,
                             min_samples=2, ci_target=0.3)
 
-    def test_worker_count_is_invisible(self, tmp_path,
-                                       monkeypatch) -> None:
+    def test_worker_count_is_invisible(self, tmp_path, monkeypatch,
+                                       many_cpus) -> None:
         """Acceptance: the early-stop decision consumes the identical
         region set (and yields identical bytes) for any worker count —
         wave composition is a pure function of prior-wave results."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_SWEEP_EXACT_JOBS", "1")
         points = [_point("coalesce"), _point("pushack")]
         serial = run_sampled_grid(points, self.POLICY,
                                   cache=ResultCache(tmp_path / "a"))

@@ -3,14 +3,13 @@
 The contracts under test (see :mod:`repro.store`): objects are
 immutable blobs named by the SHA-256 of their stored bytes (verified
 on every read); typed indexes own schema versions and the single
-fallback path; pre-unification ``.repro_cache/`` trees migrate in
-place with identical accounting; push/pull between two roots moves
-only the objects the other side lacks.
+fallback path; stats, GC and clear touch only the ``index/`` and
+``objects/`` trees, never a foreign file under the root; push/pull
+between two roots moves only the objects the other side lacks.
 """
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import os
@@ -18,14 +17,11 @@ import threading
 
 import pytest
 
-from repro.cpu.tracebuf import TraceBuffer, dump_buffers
-from repro.sim.cachemgmt import cache_gc, cache_stats
 from repro.sim.checkpoint import CheckpointStore
 from repro.sim.sweep import ResultCache
-from repro.store import (CKPT_SCHEMA_VERSION, RESULT_SCHEMA_VERSION,
-                         Index, LocalBackend, ObjectStore, RemoteBackend,
-                         Store, cache_root, open_backend, pull, push)
-from repro.cpu.traces import MemAccess
+from repro.store import (RESULT_SCHEMA_VERSION, LocalBackend, ObjectStore,
+                         RemoteBackend, Store, cache_root, open_backend, pull,
+                         push)
 
 
 class TestCacheRoot:
@@ -234,93 +230,55 @@ class TestAtomicity:
         assert not list(tmp_path.rglob("*.tmp"))
 
 
-def _legacy_tree(root) -> dict:
-    """Build a pre-unification cache tree; returns per-file payloads."""
-    root.mkdir(parents=True, exist_ok=True)
-    result = {"config": "ordpush", "workload": "mv", "cycles": 123}
-    (root / ("r" * 64 + ".json")).write_text(
-        json.dumps(result, sort_keys=True))
-    buffers = [TraceBuffer.compile(
-        [MemAccess(addr=0x40 * i, is_write=False, work=1, pc=4)])
-        for i in range(2)]
-    blob = dump_buffers(buffers)
-    (root / "traces").mkdir(exist_ok=True)
-    (root / "traces" / ("t" * 64 + ".bin")).write_bytes(blob)
-    state = {"version": CKPT_SCHEMA_VERSION, "cycle": 7}
-    (root / "ckpt").mkdir(exist_ok=True)
-    (root / "ckpt" / ("c" * 64 + ".json.gz")).write_bytes(
-        gzip.compress(json.dumps(state).encode(), mtime=0))
-    return {"result": result, "blob": blob, "state": state}
+class TestForeignFiles:
+    """The store owns ``index/`` and ``objects/`` and nothing else: a
+    stray file elsewhere under the root is never read, counted or
+    deleted, even where the pre-unification layout kept its caches."""
 
+    FOREIGN = ("settings.json", "ckpt/notes.json.gz")
 
-class TestLegacyMigration:
-    def test_stats_on_untouched_legacy_tree(self, tmp_path) -> None:
-        """`cache stats` on a pre-unification tree reports the exact
-        pre-refactor numbers, without migrating anything."""
-        _legacy_tree(tmp_path)
-        expected = {
-            "results": (tmp_path / ("r" * 64 + ".json")).stat().st_size,
-            "traces": (tmp_path / "traces" /
-                       ("t" * 64 + ".bin")).stat().st_size,
-            "checkpoints": (tmp_path / "ckpt" /
-                            ("c" * 64 + ".json.gz")).stat().st_size,
-        }
-        stats = cache_stats(tmp_path)
-        for section, size in expected.items():
-            assert stats[section] == {"entries": 1, "bytes": size}
-        assert stats["total"]["entries"] == 3
-        assert stats["total"]["bytes"] == sum(expected.values())
-        # stats is read-only: the legacy files are still in place
-        assert (tmp_path / ("r" * 64 + ".json")).is_file()
+    def _tree(self, root) -> Store:
+        store = Store(root)
+        store.index("results").put_bytes("r" * 64, b'{"cycles": 1}')
+        store.index("traces").put_bytes("t" * 64, b"buffers")
+        store.index("ckpt").put_bytes("c" * 64, b'{"version": 1}')
+        (root / "ckpt").mkdir()
+        for rel in self.FOREIGN:
+            (root / rel).write_bytes(b"not the store's")
+        return store
 
-    def test_lazy_migration_on_lookup(self, tmp_path) -> None:
-        fixtures = _legacy_tree(tmp_path)
-        legacy = tmp_path / "traces" / ("t" * 64 + ".bin")
-        os.utime(legacy, (1000, 1000))
-        store = Store(tmp_path)
-        assert store.index("traces").get_bytes("t" * 64) == \
-            fixtures["blob"]
-        assert not legacy.exists()  # adopted, not copied
-        entry = store.index("traces").read_entry("t" * 64)
-        # bytes stored verbatim and the mtime carried over (LRU age)
-        _, mtime = store.objects.stat(entry["digest"])
-        assert mtime == pytest.approx(1000)
+    def _assert_foreign_intact(self, root) -> None:
+        for rel in self.FOREIGN:
+            assert (root / rel).read_bytes() == b"not the store's"
 
-    def test_migrated_checkpoint_restores_payload(self, tmp_path,
-                                                  monkeypatch) -> None:
-        fixtures = _legacy_tree(tmp_path)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert CheckpointStore().get("c" * 64) == fixtures["state"]
+    def test_stats_count_only_entries(self, tmp_path) -> None:
+        store = self._tree(tmp_path)
+        stats = store.stats()
+        object_bytes = sum(store.objects.stat(d)[0]
+                           for d in store.objects.digests())
+        assert stats["total"] == {"entries": 3, "bytes": object_bytes}
+        for section in ("results", "traces", "checkpoints"):
+            assert stats[section]["entries"] == 1
 
-    def test_full_walk_migrate(self, tmp_path) -> None:
-        _legacy_tree(tmp_path)
-        before = cache_stats(tmp_path)
-        report = Store(tmp_path).migrate()
-        assert report["total"] == 3
-        assert not list(tmp_path.glob("*.json"))
-        assert not list(tmp_path.glob("traces/*.bin"))
-        assert not list(tmp_path.glob("ckpt/*.json.gz"))
-        # accounting is unchanged by the layout move
-        assert cache_stats(tmp_path) == before
-        # idempotent
-        assert Store(tmp_path).migrate()["total"] == 0
-
-    def test_corrupt_legacy_file_stays_and_misses(self, tmp_path) -> None:
-        (tmp_path / "ckpt").mkdir(parents=True)
-        bad = tmp_path / "ckpt" / ("c" * 64 + ".json.gz")
-        bad.write_bytes(b"not gzip")
-        index = Store(tmp_path).index("ckpt")
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            assert index.get_bytes("c" * 64) is None
-        assert bad.is_file()  # left for inspection, still counted
-
-    def test_gc_covers_legacy_files(self, tmp_path) -> None:
-        _legacy_tree(tmp_path)
-        report = cache_gc(0, tmp_path)
+    def test_gc_evicts_only_entries(self, tmp_path) -> None:
+        store = self._tree(tmp_path)
+        report = store.gc(0)
         assert report["removed"] == 3
         assert report["remaining_bytes"] == 0
-        assert cache_stats(tmp_path)["total"] == {"entries": 0,
-                                                  "bytes": 0}
+        assert store.stats()["total"] == {"entries": 0, "bytes": 0}
+        self._assert_foreign_intact(tmp_path)
+
+    def test_result_cache_clear_leaves_foreign_files(self, tmp_path) -> None:
+        store = self._tree(tmp_path)
+        assert ResultCache(tmp_path).clear() == 1
+        assert store.stats()["total"]["entries"] == 2
+        self._assert_foreign_intact(tmp_path)
+
+    def test_lookup_never_adopts_a_foreign_file(self, tmp_path) -> None:
+        store = self._tree(tmp_path)
+        assert store.index("results").get_bytes("settings") is None
+        assert not store.index("ckpt").has("notes")
+        self._assert_foreign_intact(tmp_path)
 
 
 class TestPushPull:
@@ -352,12 +310,6 @@ class TestPushPull:
         # and a repeat push moves nothing at all
         assert push(sa, sb)["total"] == {"entries": 0, "objects": 0,
                                          "bytes": 0}
-
-    def test_sync_migrates_legacy_trees_first(self, tmp_path) -> None:
-        fixtures = _legacy_tree(tmp_path / "a")
-        push(Store(tmp_path / "a"), tmp_path / "b")
-        assert Store(tmp_path / "b").index("traces").get_bytes(
-            "t" * 64) == fixtures["blob"]
 
     def test_remote_url_and_unknown_scheme(self, tmp_path) -> None:
         backend = open_backend(f"file://{tmp_path}/remote")

@@ -10,7 +10,6 @@ from repro.sim.config import bench_kwargs
 from repro.sim.results import SimResult
 from repro.sim.runner import run_comparison, run_workload
 from repro.sim.sweep import (
-    CACHE_SCHEMA_VERSION,
     ResultCache,
     SweepPoint,
     derive_seed,
@@ -19,6 +18,7 @@ from repro.sim.sweep import (
     run_point,
     run_sweep,
 )
+from repro.store import RESULT_SCHEMA_VERSION
 from repro.workloads import registry
 
 #: one fast simulation point (~tens of milliseconds)
@@ -40,6 +40,14 @@ class TestSweepPoint:
     def test_key_is_stable_string(self) -> None:
         key = point_key(SweepPoint.make("pathfinder", **FAST))
         assert isinstance(key, str) and len(key) == 64
+
+    def test_key_is_pinned(self) -> None:
+        """A fixed point's key is a constant: any change to what it
+        hashes (params defaults, spec layout, the result schema) must
+        be a deliberate schema bump, never a silent cache reset."""
+        point = SweepPoint.make("pathfinder", "noprefetch", seed=1, **FAST)
+        assert point_key(point) == (
+            "d07a92853a9ed5e49797d74434d75e6b6a11c312e8634e9a9dc1b5921294ef06")
 
     def test_key_changes_with_seed_and_workload(self) -> None:
         base = SweepPoint.make("pathfinder", seed=1, **FAST)
@@ -66,14 +74,12 @@ class TestRunSweep:
         assert [(r.workload, r.config) for r in results] == [
             (p.workload, p.config) for p in points]
 
-    def test_parallel_bit_identical_to_serial(self, monkeypatch) -> None:
+    def test_parallel_bit_identical_to_serial(self, many_cpus) -> None:
         """jobs=4 must reproduce serial results exactly (acceptance).
 
-        REPRO_SWEEP_EXACT_JOBS forces a real 4-worker pool even on a
-        single-CPU machine, where the executor would otherwise run
-        in-process.
+        ``many_cpus`` forces a real 4-worker pool even on a small
+        machine, where the executor would otherwise run in-process.
         """
-        monkeypatch.setenv("REPRO_SWEEP_EXACT_JOBS", "1")
         points = _points()
         serial = run_sweep(points, jobs=1)
         parallel = run_sweep(points, jobs=4)
@@ -161,7 +167,7 @@ class TestTraceSharing:
     def test_schema_version_bumped_for_warmup_keys(self) -> None:
         """v5 added the NoC engine selector, v6 the measurement-window
         fields (sampled regions), v7 the detach window."""
-        assert CACHE_SCHEMA_VERSION == 7
+        assert RESULT_SCHEMA_VERSION == 7
 
     def test_sweep_builds_each_trace_once(self, tmp_path,
                                           monkeypatch) -> None:
@@ -177,11 +183,11 @@ class TestTraceSharing:
         assert store.memo_hits == len(points) - 1
 
     def test_parallel_workers_share_trace_via_disk(self, tmp_path,
-                                                   monkeypatch) -> None:
+                                                   monkeypatch,
+                                                   many_cpus) -> None:
         """Worker processes reuse the on-disk buffers where available;
         results stay bit-identical either way."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_SWEEP_EXACT_JOBS", "1")
         points = [SweepPoint.make("pathfinder", config, seed=778, **FAST)
                   for config in ("noprefetch", "ordpush")]
         serial = run_sweep(points, jobs=1)
@@ -192,10 +198,9 @@ class TestTraceSharing:
 
 
 class TestWorkerGCParking:
-    def test_workers_run_with_gc_parked(self, monkeypatch) -> None:
+    def test_workers_run_with_gc_parked(self, many_cpus) -> None:
         """The pool initializer disables the cyclic GC in every worker;
         the in-worker check raises (failing the sweep) if it did not."""
-        monkeypatch.setenv("REPRO_SWEEP_EXACT_JOBS", "1")
         points = [SweepPoint.make("pathfinder", config, seed=779, **FAST)
                   for config in ("noprefetch", "ordpush")]
         results = run_sweep(points, jobs=2)

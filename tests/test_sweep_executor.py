@@ -18,6 +18,7 @@ import textwrap
 import pytest
 
 from repro.cli import build_parser
+from repro.sim import sweep
 from repro.sim.config import bench_kwargs
 from repro.sim.sweep import (
     CostModel,
@@ -62,16 +63,17 @@ class TestJobsResolution:
         assert resolve_jobs(None) == os.cpu_count()
         assert resolve_jobs(3) == 3
 
-    def test_workers_capped_by_cpus_and_tasks(self, monkeypatch) -> None:
-        monkeypatch.delenv("REPRO_SWEEP_EXACT_JOBS", raising=False)
+    def test_workers_capped_by_cpus_and_tasks(self) -> None:
         cpus = os.cpu_count() or 1
         assert _effective_workers(cpus + 7, tasks=1000) == cpus
         assert _effective_workers(8, tasks=2) <= 2
         assert _effective_workers(1, tasks=0) == 1
 
-    def test_exact_jobs_lifts_cpu_cap(self, monkeypatch) -> None:
-        monkeypatch.setenv("REPRO_SWEEP_EXACT_JOBS", "1")
+    def test_exact_jobs_lifts_cpu_cap(self, many_cpus) -> None:
+        """The requested count is honoured exactly once the machine
+        has the CPUs for it, and the cap sits at the CPU count."""
         assert _effective_workers(4, tasks=8) == 4
+        assert _effective_workers(many_cpus + 1, tasks=64) == many_cpus
 
     def test_cli_accepts_auto(self) -> None:
         parser = build_parser()
@@ -160,14 +162,13 @@ class TestPhaseTimings:
         assert timings["dispatch"] > 0.0
         assert timings["commit"] > 0.0
 
-    def test_warm_build_time_is_attributed(self, tmp_path,
-                                           monkeypatch) -> None:
+    def test_warm_build_time_is_attributed(self, tmp_path, monkeypatch,
+                                           many_cpus) -> None:
         """Build time only exists as its own phase when warm images
         become explicit build tasks — i.e. when a warm group splits
         across workers (a single worker warms inline while simulating,
         which lands in dispatch, not build)."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_SWEEP_EXACT_JOBS", "1")
         run_sweep(_warm_points(seed=44), jobs=4, cache=False)
         stats = last_sweep_stats()
         assert stats["builds"] == 2
@@ -185,11 +186,9 @@ class TestPhaseTimings:
 
 
 class TestDuplicateFanBack:
-    def test_duplicates_under_real_pool(self, tmp_path,
-                                        monkeypatch) -> None:
+    def test_duplicates_under_real_pool(self, tmp_path, many_cpus) -> None:
         """jobs>1 simulates duplicate submissions once and fans the
         result back to every slot (acceptance)."""
-        monkeypatch.setenv("REPRO_SWEEP_EXACT_JOBS", "1")
         point = SweepPoint.make("pathfinder", "noprefetch", seed=41, **FAST)
         other = SweepPoint.make("pathfinder", "ordpush", seed=41, **FAST)
         cache = ResultCache(tmp_path)
@@ -267,7 +266,7 @@ class TestWarmAffinityMemo:
         points = _warm_points(seed=62)
         with_memo = run_sweep(points, jobs=1, cache=False)
         assert last_sweep_stats()["ckpt_memo_hits"] > 0
-        monkeypatch.setenv("REPRO_NO_WORKER_MEMO", "1")
+        monkeypatch.setattr(sweep, "_worker_ckpt_store", lambda: None)
         without = run_sweep(points, jobs=1, cache=False)
         assert last_sweep_stats()["ckpt_memo_hits"] == 0
         assert [r.to_dict() for r in without] == [
@@ -325,13 +324,12 @@ class TestDependencyPlanning:
         assert builds == {}
         assert all(chunk.warm_key is None for chunk in chunks)
 
-    def test_parallel_warm_sweep_bit_identical(self, tmp_path,
-                                               monkeypatch) -> None:
+    def test_parallel_warm_sweep_bit_identical(self, tmp_path, monkeypatch,
+                                               many_cpus) -> None:
         """End to end: a 4-worker warm sweep splits both groups across
         workers, so each image becomes a build task gating its chunks;
         results equal serial exactly and each image was built once."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_SWEEP_EXACT_JOBS", "1")
         points = _warm_points(seed=67)
         parallel = run_sweep(points, jobs=4, cache=False)
         assert last_sweep_stats()["builds"] == 2
