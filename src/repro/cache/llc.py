@@ -19,7 +19,8 @@ tile.  It implements:
   unicast pushing (no multicast, no filter, no knob).
 
 Requests are processed at one per cycle with the configured lookup
-latency (a pipelined controller); transactions to the same line are
+latency (a pipelined controller: each lookup is one ``_Lookup`` event
+on the scheduler); transactions to the same line are
 serialized through a per-line queue, which is what makes the protocol
 free of message races beyond the ones handled explicitly.
 """
@@ -89,26 +90,20 @@ _DIR_S = STATE_CODE[DirState.S]
 
 
 class _Lookup:
-    """Pooled 'directory lookup done' scheduler event.
+    """Scheduler event: a directory lookup finishing.
 
-    Mirrors the NoC's pooled link events: the slice pipelines one lookup
-    per cycle, so these fire on every LLC-bound message; recycling them
-    keeps the steady state allocation-free.  The event returns itself to
-    the pool *before* processing so the handler's own sends can reuse it
-    in the same cycle.
+    The slice pipelines one lookup per cycle, so one of these fires on
+    every LLC-bound message.
     """
 
     __slots__ = ("slice", "msg")
 
-    def __init__(self, slc: "LLCSlice") -> None:
+    def __init__(self, slc: "LLCSlice", msg: CoherenceMsg) -> None:
         self.slice = slc
-        self.msg: Optional[CoherenceMsg] = None
+        self.msg = msg
 
     def __call__(self) -> None:
-        slc = self.slice
-        msg, self.msg = self.msg, None
-        slc._lookup_pool.append(self)
-        slc._process(msg)
+        self.slice._process(self.msg)
 
 
 class LLCSlice:
@@ -166,7 +161,6 @@ class LLCSlice:
         #: during the lookup (the messages themselves are consumed on
         #: arrival; only their sources matter for the merged reply)
         self._coalescing: Dict[int, List[int]] = {}
-        self._lookup_pool: List[_Lookup] = []
         #: in-flight push shadows: line -> (expiry cycle, destinations)
         self._push_shadow: Dict[int, tuple] = {}
         #: optional shared-access probe (Fig. 4): appends
@@ -193,23 +187,19 @@ class LLCSlice:
         start = max(now, self._next_free)
         self._next_free = start + 1
         latency = self.params.llc_slice.hit_latency
-        pool = self._lookup_pool
-        event = pool.pop() if pool else _Lookup(self)
-        event.msg = msg
-        self.scheduler.at(start + latency, event)
+        self.scheduler.at(start + latency, _Lookup(self, msg))
 
     def deliver_batch(self, msgs: List[CoherenceMsg]) -> None:
         """Batched directory-read entry: ``deliver`` over a same-cycle
         ejection burst (the coherence fast path's miss residue).
 
         Decision-for-decision identical to calling :meth:`deliver` per
-        message in list order; the pipeline-slot bookkeeping, pool and
+        message in list order; the pipeline-slot bookkeeping and
         counter lookups are hoisted out of the loop.
         """
         now = self.scheduler.now
         next_free = self._next_free
         latency = self.params.llc_slice.hit_latency
-        pool = self._lookup_pool
         eject = self._c_eject
         data_flits = self._data_flits
         coalesce = self._coalesce
@@ -226,9 +216,7 @@ class LLCSlice:
                 coalescing[msg.line_addr] = []
             start = next_free if next_free > now else now
             next_free = start + 1
-            event = pool.pop() if pool else _Lookup(self)
-            event.msg = msg
-            scheduler_at(start + latency, event)
+            scheduler_at(start + latency, _Lookup(self, msg))
         self._next_free = next_free
 
     # ------------------------------------------------------------------

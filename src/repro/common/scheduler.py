@@ -6,6 +6,11 @@ schedules a callback here.  The runner drains events due at the current
 cycle before ticking the network, so a component's event handlers always
 observe a consistent pre-tick state.
 
+:meth:`Scheduler.at` is the only way to put work on the wheel; the
+wheel layout below is private to this module.  (The fast path's
+:meth:`~Scheduler.peek_bucket` / :meth:`~Scheduler.consume_bucket`
+read and claim whole buckets, but never insert.)
+
 Implementation: a bucketed time wheel for the near future plus a binary
 heap for overflow.  Events within ``WHEEL_SPAN`` cycles of ``now`` go
 into ``wheel[cycle % WHEEL_SPAN]`` — a plain list append, no tuple
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 
@@ -89,38 +94,6 @@ class Scheduler:
                 heappush(self._occupied, cycle)
                 return
         heappush(self._overflow, (cycle, next(self._seq), callback))
-
-    def at_many(self, cycle: int,
-                callbacks: Iterable[Callable[[], None]]) -> None:
-        """Bulk insert: run every callback at ``cycle``, in list order.
-
-        Equivalent to ``for cb in callbacks: at(cycle, cb)`` but with a
-        single window check and one list extend — the cheap path for
-        multicast fan-out (barrier releases, replicated deliveries).
-        """
-        now = self.now
-        if cycle < now:
-            raise SimulationError(
-                f"scheduling into the past: {cycle} < now {now}")
-        if cycle - now < WHEEL_SPAN:
-            index = cycle & _MASK
-            tag = self._bucket_cycle[index]
-            if tag == cycle or tag == _FREE:
-                bucket = self._buckets[index]
-                before = len(bucket)
-                bucket.extend(callbacks)
-                self._pending += len(bucket) - before
-                if tag == _FREE and len(bucket) > before:
-                    self._bucket_cycle[index] = cycle
-                    heappush(self._occupied, cycle)
-                return
-        seq = self._seq
-        overflow = self._overflow
-        count = 0
-        for callback in callbacks:
-            heappush(overflow, (cycle, next(seq), callback))
-            count += 1
-        self._pending += count
 
     def after(self, delay: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` cycles from now (delay >= 0)."""

@@ -55,22 +55,14 @@ class Barrier:
             if self.crossings == self.hold_at:
                 self.held = waiting
                 return
-            # Release everyone with one bulk insert; list order matches
-            # the per-waiter scheduling order of the scalar path.
-            scheduler = core.scheduler
-            steps = [waiter._step for waiter in waiting
-                     if waiter.prepare_resume()]
-            scheduler.at_many(scheduler.now, steps)
+            for waiter in waiting:
+                waiter.resume_from_barrier()
 
     def release_held(self) -> None:
         """Resume the cores parked by a held crossing (arrival order)."""
         held, self.held = self.held, None
-        if not held:
-            return
-        scheduler = held[0].scheduler
-        steps = [waiter._step for waiter in held
-                 if waiter.prepare_resume()]
-        scheduler.at_many(scheduler.now, steps)
+        for waiter in held or ():
+            waiter.resume_from_barrier()
 
 
 class Core:
@@ -237,19 +229,8 @@ class Core:
         # barrier is only entered once the window drained.
         raise AssertionError("completion while parked at a barrier")
 
-    def prepare_resume(self) -> bool:
-        """Leave the barrier; True when a step must be scheduled.
-
-        Split from :meth:`resume_from_barrier` so the barrier can batch
-        all wakeups into one ``Scheduler.at_many`` insert.
-        """
-        self._at_barrier = False
-        if self._step_scheduled:
-            return False
-        self._step_scheduled = True
-        return True
-
     def resume_from_barrier(self) -> None:
+        """Leave the barrier and step again this cycle."""
         self._at_barrier = False
         self._schedule_step(0)
 
@@ -260,13 +241,6 @@ class Core:
         self.stats.set("instructions", self.instructions)
         if self.on_finished is not None:
             self.on_finished(self)
-
-    # ------------------------------------------------------------------
-
-    @property
-    def mpki_denominator(self) -> float:
-        """Kilo-instructions executed so far."""
-        return max(self.instructions / 1000.0, 1e-9)
 
 
 # Fast-path ownership tags (repro.cpu.fastpath): a scheduler bucket whose

@@ -26,15 +26,14 @@ bit-identical to the scalar engine:
   bumps, completion/wakeup inserts) is issued in the scalar path's
   order, so the scheduler's ``(cycle, seq)`` stream is unchanged.
 
-``REPRO_NO_FASTPATH=1`` (or :func:`set_fastpath`) disables the whole
-layer as a bisection escape hatch, and systems with hardware
+:func:`set_fastpath` disables the whole layer as an A/B switch for
+bisection and the stat-tree equality tests, and systems with hardware
 prefetchers enabled never build it, because every demand access trains
 the prefetcher and would be residue anyway.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List
 
 from repro.cache.coherence import PRIV_M, PRIV_S
@@ -42,7 +41,7 @@ from repro.cache.sram import F_ACCESSED, F_DIRTY, F_PUSHED
 from repro.common.params import LINE_BYTES
 
 #: process-wide enable flag
-_fastpath_enabled = os.environ.get("REPRO_NO_FASTPATH", "") in ("", "0")
+_fastpath_enabled = True
 
 _LINE_SHIFT = LINE_BYTES.bit_length() - 1
 assert (1 << _LINE_SHIFT) == LINE_BYTES, "line size must be a power of two"

@@ -34,7 +34,10 @@ switch-allocation eligible one cycle later; output ports stay busy for
 the packet length and ejections deliver at ``X + link_latency +
 flits``.  Rare paths — multicast replication, push filter
 registration/lookup, and OrdPush invalidation stalls — run as scalar
-sidecars over the same arrays.
+sidecars over the same arrays.  Timed sidecar work is a small event
+object built with its payload and handed to ``Scheduler.at``:
+``_Register``, ``_Lookup``, ``_Deregister``, and one ``_Eject`` per
+(cycle, tile) ejection burst.
 
 Equivalence contract
 --------------------
@@ -95,22 +98,22 @@ class ArrayInterface:
 
 
 class _Eject:
-    """Pooled event: deliver one tile's same-cycle ejection burst.
+    """Event: deliver one tile's same-cycle ejection burst.
 
     One event per (cycle, tile) rather than per packet: arrivals that
     land together are delivered together — through the interface's
     ``eject_batch_hook`` when several arrive (one hook call, one
     dispatch loop, batched LLC pipeline bookkeeping downstream), else
     the ordinary per-message hook.  Bookkeeping per packet is identical
-    to the former one-event-per-packet scheme.
+    to a one-event-per-packet scheme.
     """
 
     __slots__ = ("net", "tile", "key", "pixs", "packets")
 
-    def __init__(self, net: "ArrayNetwork") -> None:
+    def __init__(self, net: "ArrayNetwork", tile: int, key: int) -> None:
         self.net = net
-        self.tile = 0
-        self.key = -1
+        self.tile = tile
+        self.key = key
         self.pixs: List[int] = []
         self.packets: List[Packet] = []
 
@@ -118,7 +121,6 @@ class _Eject:
         net = self.net
         del net._eject_open[self.key]
         packets = self.packets
-        pixs = self.pixs
         count = len(packets)
         net.inflight -= count
         net._c_packets_ejected.value += count
@@ -129,15 +131,10 @@ class _Eject:
         if len(batch) >= 1024:
             net.flush_stat_batches()
         free = net._free_packet
-        for pix in pixs:
+        for pix in self.pixs:
             free(pix)
         msgs = [packet.msg for packet in packets]
         iface = net.interfaces[self.tile]
-        pixs.clear()
-        packets.clear()
-        # The event is reusable from here on; recycle before the hook
-        # so reentrant sends during delivery can pool-pop it safely.
-        net._eject_pool.append(self)
         if count > 1:
             batch_hook = iface.eject_batch_hook
             if batch_hook is not None:
@@ -150,17 +147,18 @@ class _Eject:
 
 
 class _Register:
-    """Pooled event: filter registration + stationary filtering at the
-    push's arrival cycle (the reference registers inside ``accept``)."""
+    """Event: filter registration + stationary filtering at the push's
+    arrival cycle (the reference registers inside ``accept``)."""
 
     __slots__ = ("net", "router", "ports", "pid", "line")
 
-    def __init__(self, net: "ArrayNetwork") -> None:
+    def __init__(self, net: "ArrayNetwork", router: int, ports: Tuple,
+                 pid: int, line: int) -> None:
         self.net = net
-        self.router = 0
-        self.ports: Tuple = ()
-        self.pid = 0
-        self.line = 0
+        self.router = router
+        self.ports = ports
+        self.pid = pid
+        self.line = line
 
     def __call__(self) -> None:
         net = self.net
@@ -171,12 +169,10 @@ class _Register:
             net._fcount[key] += 1
             if net.filter_enabled:
                 net._stationary_filter(key, self.line, dests)
-        self.ports = ()
-        net._reg_pool.append(self)
 
 
 class _Lookup:
-    """Pooled event: the GETS arrival-time filter lookup.
+    """Event: the GETS arrival-time filter lookup.
 
     Scheduled at transmit time only when the destination input port's
     filter held entries (a vectorized prescreen); pushes that register
@@ -186,16 +182,17 @@ class _Lookup:
 
     __slots__ = ("net", "slot", "pix", "packet", "fkey")
 
-    def __init__(self, net: "ArrayNetwork") -> None:
+    def __init__(self, net: "ArrayNetwork", slot: int, pix: int,
+                 packet: Packet, fkey: int) -> None:
         self.net = net
-        self.slot = 0
-        self.pix = -1
-        self.packet: Optional[Packet] = None
-        self.fkey = 0
+        self.slot = slot
+        self.pix = pix
+        self.packet = packet
+        self.fkey = fkey
 
     def __call__(self) -> None:
         net = self.net
-        packet, self.packet = self.packet, None
+        packet = self.packet
         # Guard against the slot having been dropped (stationary filter)
         # and possibly refilled since the prescreen.
         if (net._s_pix[self.slot] == self.pix
@@ -203,26 +200,25 @@ class _Lookup:
                 and net.filters[self.fkey].matches(
                     packet.line_addr, packet.msg.src)):
             net._drop_request(self.slot)
-        net._lookup_pool.append(self)
 
 
 class _Deregister:
-    """Pooled event: lazy filter deregistration one link delay after the
+    """Event: lazy filter deregistration one link delay after the
     push replica's tail flit leaves its output port."""
 
     __slots__ = ("net", "fkey", "pid", "line")
 
-    def __init__(self, net: "ArrayNetwork") -> None:
+    def __init__(self, net: "ArrayNetwork", fkey: int, pid: int,
+                 line: int) -> None:
         self.net = net
-        self.fkey = 0
-        self.pid = 0
-        self.line = 0
+        self.fkey = fkey
+        self.pid = pid
+        self.line = line
 
     def __call__(self) -> None:
         net = self.net
         net.filters[self.fkey].deregister(self.pid, self.line)
         net._fcount[self.fkey] -= 1
-        net._dereg_pool.append(self)
 
 
 class ArrayNetwork:
@@ -342,14 +338,10 @@ class ArrayNetwork:
             self.filters = []
         self._fcount = np.zeros(keys, dtype=np.int64)
 
-        # ---- event pools, stats, run-loop state ----------------------
-        self._eject_pool: List[_Eject] = []
+        # ---- events, stats, run-loop state ----------------------------
         #: open (cycle * num_tiles + tile) -> _Eject batches still
         #: accepting arrivals; entries remove themselves on fire
         self._eject_open: Dict[int, _Eject] = {}
-        self._reg_pool: List[_Register] = []
-        self._lookup_pool: List[_Lookup] = []
-        self._dereg_pool: List[_Deregister] = []
         self.interfaces = [ArrayInterface(tile, self)
                            for tile in range(tiles)]
         self.routers: Tuple = ()
@@ -545,46 +537,13 @@ class ArrayNetwork:
                               and packet.msg_type is _PUSH)
         return ((out, dests),)
 
-    def _schedule_register(self, router: int, ports, pid: int, line: int,
-                           cycle: int) -> None:
-        pool = self._reg_pool
-        event = pool.pop() if pool else _Register(self)
-        event.router = router
-        event.ports = tuple(ports)
-        event.pid = pid
-        event.line = line
-        self.scheduler.at(cycle, event)
-
-    def _schedule_lookup(self, slot: int, pix: int, packet: Packet,
-                         fkey: int, cycle: int) -> None:
-        pool = self._lookup_pool
-        event = pool.pop() if pool else _Lookup(self)
-        event.slot = slot
-        event.pix = pix
-        event.packet = packet
-        event.fkey = fkey
-        self.scheduler.at(cycle, event)
-
-    def _schedule_deregister(self, fkey: int, pid: int, line: int,
-                             cycle: int) -> None:
-        pool = self._dereg_pool
-        event = pool.pop() if pool else _Deregister(self)
-        event.fkey = fkey
-        event.pid = pid
-        event.line = line
-        self.scheduler.at(cycle, event)
-
     def _schedule_eject(self, tile: int, pix: int, packet: Packet,
                         cycle: int) -> None:
         key = cycle * self._num_tiles + tile
         open_ejects = self._eject_open
         event = open_ejects.get(key)
         if event is None:
-            pool = self._eject_pool
-            event = pool.pop() if pool else _Eject(self)
-            event.tile = tile
-            event.key = key
-            open_ejects[key] = event
+            event = open_ejects[key] = _Eject(self, tile, key)
             self.scheduler.at(cycle, event)
         event.pixs.append(pix)
         event.packets.append(packet)
@@ -635,13 +594,13 @@ class ArrayNetwork:
                 self._ni_busy[tile] = cycle + packet.flits - 1
                 arrival = cycle + latency
                 if self._push_tracking and packet.msg_type is _PUSH:
-                    self._schedule_register(
-                        key // self._radix, ports, packet.pid,
-                        packet.line_addr, arrival)
+                    self.scheduler.at(arrival, _Register(
+                        self, key // self._radix, tuple(ports),
+                        packet.pid, packet.line_addr))
                 elif (self.filter_enabled and packet.msg_type is _GETS
                         and self._fcount[key] > 0):
-                    self._schedule_lookup(
-                        slot, pix, packet, key, arrival)
+                    self.scheduler.at(arrival, _Lookup(
+                        self, slot, pix, packet, key))
                 self._ni_rr[tile] = (vnet + 1) % self._num_vnets
                 break
 
@@ -703,9 +662,9 @@ class ArrayNetwork:
                 self._traffic_flits[parent.traffic_idx] += flits
                 self._last_progress = cycle
                 if self._push_tracking and parent.msg_type is _PUSH:
-                    self._schedule_deregister(
-                        key, parent.pid, parent.line_addr,
-                        cycle + flits - 1 + latency)
+                    self.scheduler.at(
+                        cycle + flits - 1 + latency, _Deregister(
+                            self, key, parent.pid, parent.line_addr))
                 branch = parent.replica(dests)
                 child_pix = self._alloc_packet(branch)
                 if eject >= 0:
@@ -718,10 +677,10 @@ class ArrayNetwork:
                         down_key[key], bucket,
                         cycle + latency + 2, port)
                     if self._push_tracking and branch.msg_type is _PUSH:
-                        self._schedule_register(
-                            down_key[key] // radix,
-                            child_ports, branch.pid, branch.line_addr,
-                            cycle + 1 + latency)
+                        self.scheduler.at(cycle + 1 + latency, _Register(
+                            self, down_key[key] // radix,
+                            tuple(child_ports), branch.pid,
+                            branch.line_addr))
                 granted.append(entry)
             if granted:
                 for entry in granted:
@@ -788,7 +747,7 @@ class ArrayNetwork:
 
         latency = self._link_latency
         eject_mask = self._s_downbase[winners] < 0
-        # Ejection winners: one pooled delivery event each.  A granted
+        # Ejection winners join their (cycle, tile) burst.  A granted
         # push deregisters from its (eject) port's filter exactly like a
         # link grant would.
         ew = winners[eject_mask]
@@ -799,9 +758,9 @@ class ArrayNetwork:
                     win_keys[eject_mask].tolist()):
                 packet = self._pkt[pix]
                 if is_push:
-                    self._schedule_deregister(
-                        key, packet.pid, packet.line_addr,
-                        cycle + length - 1 + latency)
+                    self.scheduler.at(
+                        cycle + length - 1 + latency, _Deregister(
+                            self, key, packet.pid, packet.line_addr))
                 self._schedule_eject(tile, pix, packet,
                                      cycle + latency + length)
         # Link winners: install every record downstream in one shot.
@@ -870,20 +829,21 @@ class ArrayNetwork:
             for pos in np.nonzero(self._s_push[src])[0]:
                 slot = int(new_slots[pos])
                 packet = self._pkt[int(self._s_pix[slot])]
-                self._schedule_deregister(
-                    int(keys[pos]), packet.pid, packet.line_addr,
-                    cycle + packet.flits - 1 + self._link_latency)
-                self._schedule_register(
-                    int(router2[pos]), ((int(out2[pos]), packet.dests),),
-                    packet.pid, packet.line_addr, arrival)
+                self.scheduler.at(
+                    cycle + packet.flits - 1 + self._link_latency,
+                    _Deregister(self, int(keys[pos]), packet.pid,
+                                packet.line_addr))
+                self.scheduler.at(arrival, _Register(
+                    self, int(router2[pos]),
+                    ((int(out2[pos]), packet.dests),),
+                    packet.pid, packet.line_addr))
         if self.filter_enabled:
             gets = self._s_gets[src] & (self._fcount[down_key] > 0)
             for pos in np.nonzero(gets)[0]:
                 slot = int(new_slots[pos])
                 pix = int(self._s_pix[slot])
-                self._schedule_lookup(
-                    slot, pix, self._pkt[pix], int(down_key[pos]),
-                    arrival)
+                self.scheduler.at(arrival, _Lookup(
+                    self, slot, pix, self._pkt[pix], int(down_key[pos])))
 
     # ------------------------------------------------------------------
     # simulation loop

@@ -1,65 +1,49 @@
-"""Pooled link-transfer event objects (zero-allocation hot path).
+"""Link-transfer event objects for the event NoC.
 
 Arrivals, ejections, and lazy filter deregistrations fire hundreds of
-thousands of times per run; allocating a closure for each would dominate
-the scheduler's cost.  Instead these small ``__slots__`` callables are
-recycled through per-network free lists: an event returns itself to its
-pool *before* invoking its payload, so the payload can immediately
-schedule a new event without growing the pool.
+thousands of times per run.  Each is a small ``__slots__`` callable
+built with its payload and handed to ``Scheduler.at``; reference
+counting frees it once it has run.
 
 The classes only duck-type against :class:`repro.noc.network.Network`
-(they touch its pools, scheduler, and wake bookkeeping) — no import, so
-both the network and the router can construct them.
+(they touch its scheduler and wake bookkeeping) — no import, so the
+router and the network interfaces can construct them without a cycle.
 """
 
 from __future__ import annotations
 
 
 class LinkArrival:
-    """Pooled event: a packet head reaching the downstream input VC."""
+    """Event: a packet head reaching the downstream input VC."""
 
-    __slots__ = ("network", "router", "packet", "in_dir", "vc")
+    __slots__ = ("router", "packet", "in_dir", "vc")
 
-    def __init__(self, network) -> None:
-        self.network = network
-        self.router = None
-        self.packet = None
-        self.in_dir = 0
-        self.vc = None
+    def __init__(self, router, packet, in_dir: int, vc) -> None:
+        self.router = router
+        self.packet = packet
+        self.in_dir = in_dir
+        self.vc = vc
 
     def __call__(self) -> None:
-        router = self.router
-        packet = self.packet
-        in_dir = self.in_dir
-        vc = self.vc
-        self.router = None
-        self.packet = None
-        self.vc = None
-        self.network._arrival_pool.append(self)
-        router.accept(packet, in_dir, vc)
+        self.router.accept(self.packet, self.in_dir, self.vc)
 
 
 class Ejection:
-    """Pooled event: a packet tail arriving at its destination tile."""
+    """Event: a packet tail arriving at its destination tile."""
 
     __slots__ = ("network", "tile", "packet")
 
-    def __init__(self, network) -> None:
+    def __init__(self, network, tile: int, packet) -> None:
         self.network = network
-        self.tile = 0
-        self.packet = None
+        self.tile = tile
+        self.packet = packet
 
     def __call__(self) -> None:
-        network = self.network
-        tile = self.tile
-        packet = self.packet
-        self.packet = None
-        network._eject_pool.append(self)
-        network._eject(tile, packet)
+        self.network._eject(self.tile, self.packet)
 
 
 class Deregister:
-    """Pooled event: lazy removal of a push's filter registration.
+    """Event: lazy removal of a push's filter registration.
 
     Also wakes the owning router — an OrdPush INV stalled behind the
     registered line (the only dormancy cause with no time-known wake
@@ -68,20 +52,18 @@ class Deregister:
 
     __slots__ = ("network", "router", "filter", "pid", "line_addr")
 
-    def __init__(self, network) -> None:
+    def __init__(self, network, router, filter, pid: int,
+                 line_addr: int) -> None:
         self.network = network
-        self.router = None
-        self.filter = None
-        self.pid = 0
-        self.line_addr = 0
+        self.router = router
+        self.filter = filter
+        self.pid = pid
+        self.line_addr = line_addr
 
     def __call__(self) -> None:
         network = self.network
         router = self.router
         self.filter.deregister(self.pid, self.line_addr)
-        self.router = None
-        self.filter = None
-        network._dereg_pool.append(self)
         now = network.scheduler.now
         if now < router.next_tick:
             router.next_tick = now

@@ -64,19 +64,17 @@ class _FunctionalInterface:
 
 
 class _Delivery:
-    """Pooled scheduler event: hand one message to one tile's hook."""
+    """Scheduler event: hand one message to one tile's hook."""
 
-    __slots__ = ("network", "tile", "msg")
+    __slots__ = ("interface", "msg")
 
-    def __init__(self, network: "FunctionalNetwork") -> None:
-        self.network = network
-        self.tile = 0
-        self.msg: CoherenceMsg = None
+    def __init__(self, interface: _FunctionalInterface,
+                 msg: CoherenceMsg) -> None:
+        self.interface = interface
+        self.msg = msg
 
     def __call__(self) -> None:
-        msg, self.msg = self.msg, None
-        self.network.interfaces[self.tile].eject_hook(msg)
-        self.network._pool.append(self)
+        self.interface.eject_hook(self.msg)
 
 
 class FunctionalNetwork:
@@ -98,7 +96,6 @@ class FunctionalNetwork:
         self.stats = StatGroup("network")
         self.request_filtered_hook = None
         self.inflight = 0
-        self._pool: List[_Delivery] = []
         # Link-load accounting in the same flat (router << shift) | port
         # layout as the detailed engines — functional warmup records no
         # flits, but reporting one shape across all backends keeps the
@@ -116,12 +113,9 @@ class FunctionalNetwork:
         """Deliver ``msg`` to every destination at the fixed latency."""
         scheduler = self.scheduler
         when = scheduler.now + self.FIXED_LATENCY
-        pool = self._pool
+        interfaces = self.interfaces
         for dest in msg.dests:
-            event = pool.pop() if pool else _Delivery(self)
-            event.tile = dest
-            event.msg = msg
-            scheduler.at(when, event)
+            scheduler.at(when, _Delivery(interfaces[dest], msg))
 
     # -- System run-loop surface ------------------------------------------
 

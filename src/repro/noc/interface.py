@@ -26,6 +26,7 @@ from typing import Callable, Deque, Optional
 from repro.common.messages import CoherenceMsg, MsgType
 from repro.common.scheduler import NEVER
 from repro.common.stats import StatGroup
+from repro.noc.events import LinkArrival
 from repro.noc.packet import Packet
 
 
@@ -84,10 +85,6 @@ class NetworkInterface:
         self.network.note_injected(packet)
         self.network.mark_ni_active(self)
 
-    @property
-    def has_backlog(self) -> bool:
-        return self._backlog > 0
-
     def tick(self, cycle: int) -> bool:
         """Try to start injecting one queued packet into the local port."""
         if self._busy_until >= cycle:
@@ -120,9 +117,9 @@ class NetworkInterface:
             vc.reserved = True  # vc.reserve() inlined; just checked free
             self._busy_until = cycle + packet.flits - 1
             self._c_flits_injected.value += packet.flits
-            self.network.schedule_arrival(
-                router, packet, self._local_port, vc,
-                cycle + self._link_latency)
+            self.network.scheduler.at(
+                cycle + self._link_latency,
+                LinkArrival(router, packet, self._local_port, vc))
             self._rr_vnet = (vnet + 1) % num_vnets
             self.next_tick = (
                 self._busy_until + 1 if self._backlog else NEVER)

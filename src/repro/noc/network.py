@@ -10,9 +10,9 @@ where no progress is possible cost nothing.  Spurious wakes are always
 safe — a tick that cannot grant or inject mutates nothing — so the wake
 rules only need to be conservative, never exact.
 
-Link transfer is allocation-free on the hot path: arrivals, ejections,
-and lazy filter deregistrations are pooled callable event objects that
-are recycled through free lists instead of per-dispatch lambdas.
+Link transfer is event-driven: arrivals, ejections, and lazy filter
+deregistrations are small callable objects (:mod:`repro.noc.events`)
+that the router and interfaces hand to ``Scheduler.at``.
 
 Push-multicast configuration enters here through two switches:
 
@@ -22,20 +22,18 @@ Push-multicast configuration enters here through two switches:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.messages import CoherenceMsg, TrafficClass
 from repro.common.params import NoCParams
 from repro.common.scheduler import NEVER, Scheduler
 from repro.common.stats import StatGroup
-from repro.noc.events import Deregister, Ejection, LinkArrival
 from repro.noc.interface import NetworkInterface
 from repro.noc.packet import Packet
 from repro.noc.router import Router
 from repro.noc.routing import Direction, RoutingTables
 from repro.noc.topology import Topology, build_topology
-from repro.noc.vc import VirtualChannel
 
 #: cycles without any packet movement (while packets exist) that we treat
 #: as a network deadlock — generous enough for worst-case backpressure.
@@ -117,37 +115,28 @@ class Network:
         #: sweep — credit wakes use it to decide same-cycle vs next-cycle
         self._sweep_pos = -1
         self._link_latency = params.link_latency
-        # Free lists for the pooled link-transfer events.
-        self._arrival_pool: List[LinkArrival] = []
-        self._eject_pool: List[Ejection] = []
-        self._dereg_pool: List[Deregister] = []
         # Precomputed downstream lookups: [router_id][port] -> the
-        # neighbour Router / its facing InputPort (replaces per-grant
-        # topology.link chains on the hot path).
+        # neighbour Router (replaces per-grant topology.link chains on
+        # the hot path).  Each router also gets [port] -> the downstream
+        # input port's per-bucket VC lists (None for ejection/absent
+        # ports), so the switch-allocation loop scans downstream credits
+        # without any function call.
         topology = self.topology
         radix = topology.radix
         self._downstream_router: List[List[Optional[Router]]] = []
-        self._downstream_port: List[List[Optional]] = []
         for router in self.routers:
-            row_r: List[Optional[Router]] = [None] * radix
-            row_p: List[Optional] = [None] * radix
+            row: List[Optional[Router]] = [None] * radix
+            vcs: List[Optional[list]] = [None] * radix
             for port in topology.router_ports(router.id):
                 link = topology.link(router.id, port)
                 if link is not None:
                     neighbor, in_port = link
-                    row_r[port] = self.routers[neighbor]
-                    row_p[port] = self.routers[neighbor].input_ports[in_port]
+                    row[port] = self.routers[neighbor]
+                    vcs[port] = self.routers[neighbor].input_ports[
+                        in_port].vcs
                     router._downstream_in[port] = in_port
-            self._downstream_router.append(row_r)
-            self._downstream_port.append(row_p)
-        # Per-router [port] -> the downstream input port's per-bucket
-        # VC lists (None for ejection/absent ports): lets the switch-
-        # allocation loop scan downstream credits without any function
-        # call.
-        for router in self.routers:
-            router._downstream_vcs = [
-                port.vcs if port is not None else None
-                for port in self._downstream_port[router.id]]
+            self._downstream_router.append(row)
+            router._downstream_vcs = vcs
             router._unicast = [vnet_table[router.id]
                                for vnet_table in self.tables._unicast]
         self._wire_credit_callbacks()
@@ -230,76 +219,6 @@ class Network:
     # router support services
     # ------------------------------------------------------------------
 
-    def try_reserve(self, router_id: int, direction: int,
-                    bucket: int) -> Union[VirtualChannel, None, bool]:
-        """Reserve a downstream VC for a grant.
-
-        ``bucket`` indexes the downstream port's VC buckets (== the
-        vnet on single-class fabrics).  Returns the reserved
-        :class:`VirtualChannel`, ``None`` when the hop is an ejection
-        (always accepted), or ``False`` when no downstream credit is
-        available this cycle.
-        """
-        in_port = self._downstream_port[router_id][direction]
-        if in_port is None:
-            if self.topology.eject_tile(router_id, direction) is not None:
-                return None
-            raise SimulationError(
-                f"route leaves the fabric at router {router_id} "
-                f"port {direction}")
-        vc = in_port.free_vc(bucket)
-        if vc is None:
-            return False
-        vc.reserve()
-        return vc
-
-    def dispatch(self, router_id: int, direction: int, branch: Packet,
-                 downstream_vc: Optional[VirtualChannel], cycle: int) -> None:
-        """Move a granted replica across the link (or eject it)."""
-        self._last_progress = cycle
-        link_latency = self._link_latency
-        downstream = self._downstream_router[router_id][direction]
-        if downstream is None:  # ejection port
-            pool = self._eject_pool
-            event = pool.pop() if pool else Ejection(self)
-            event.tile = self.topology.eject_tile(router_id, direction)
-            event.packet = branch
-            self.scheduler.at(
-                cycle + 1 + link_latency + branch.flits - 1, event)
-            return
-        self.schedule_arrival(
-            downstream, branch,
-            self.routers[router_id]._downstream_in[direction],
-            downstream_vc, cycle + 1 + link_latency)
-
-    def schedule_arrival(self, router: Router, packet: Packet,
-                         in_dir: int,
-                         vc: Optional[VirtualChannel], cycle: int) -> None:
-        """Schedule a pooled head-arrival event at ``router``."""
-        pool = self._arrival_pool
-        event = pool.pop() if pool else LinkArrival(self)
-        event.router = router
-        event.packet = packet
-        event.in_dir = in_dir
-        event.vc = vc
-        self.scheduler.at(cycle, event)
-
-    def schedule_deregister(self, router: Router, out, pid: int,
-                            line_addr: int, cycle: int) -> None:
-        """Schedule a pooled lazy filter deregistration at ``cycle``."""
-        pool = self._dereg_pool
-        event = pool.pop() if pool else Deregister(self)
-        event.router = router
-        event.filter = out.filter
-        event.pid = pid
-        event.line_addr = line_addr
-        self.scheduler.at(cycle, event)
-
-    def record_link_load(self, router_id: int, direction: int,
-                         packet: Packet, flits: int) -> None:
-        self._link_load[(router_id << self._ll_shift) | direction] += flits
-        self._traffic_flits[packet.msg.traffic_idx] += flits
-
     def note_injected(self, packet: Packet) -> None:
         self.inflight += len(packet.dests)
         self._c_packets_injected.value += 1
@@ -311,20 +230,6 @@ class Network:
         self._c_requests_filtered.value += 1
         if self.request_filtered_hook is not None:
             self.request_filtered_hook(packet.msg)
-
-    def mark_router_active(self, router: Router) -> None:
-        # Called from the event phase (an accept); the new packet leaves
-        # buffer write at now + 1, which is the earliest possible grant.
-        wake = self.scheduler.now + 1
-        if wake < router.next_tick:
-            router.next_tick = wake
-        if wake < self._next_work:
-            self._next_work = wake
-        bit = 1 << router.id
-        if not self._active_router_mask & bit:
-            self._active_router_mask |= bit
-            self._active_routers.append(router.id)
-            self._routers_dirty = True
 
     def mark_ni_active(self, ni: NetworkInterface) -> None:
         # Called from the event phase (an inject); injection is possible

@@ -58,10 +58,6 @@ class Packet:
         self.vc_bucket = msg.vnet
         self.ring = -1
 
-    @property
-    def is_multicast(self) -> bool:
-        return len(self.dests) > 1
-
     def replica(self, dests: Tuple[int, ...]) -> "Packet":
         """A copy of this packet carrying a destination subset."""
         twin = Packet(self.msg, self.flits, dests=dests,

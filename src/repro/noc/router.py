@@ -45,13 +45,12 @@ with the *old* count right before the membership changes.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import List, Optional, Tuple
 
 from repro.common.messages import MsgType
-from repro.common.scheduler import _FREE, _MASK, NEVER
+from repro.common.scheduler import NEVER
 from repro.common.stats import StatGroup
-from repro.noc.events import Ejection, LinkArrival
+from repro.noc.events import Deregister, Ejection, LinkArrival
 from repro.noc.filter import InNetworkFilter
 from repro.noc.packet import Packet
 from repro.noc.routing import Direction
@@ -195,8 +194,8 @@ class Router:
         vc.reserved = False  # the reservation made at transmit time
         occupied.append(vc)
 
-        # Wake for switch allocation (mark_router_active inlined): the
-        # packet leaves buffer write at now + 1, the earliest grant.
+        # Wake for switch allocation: the packet leaves buffer write
+        # at now + 1, the earliest grant.
         wake = now + 1
         if wake < self.next_tick:
             self.next_tick = wake
@@ -324,8 +323,7 @@ class Router:
                         and out.filter.has_line(packet.line_addr)):
                     self._c_inv_stalled.value += 1
                     continue  # deregistration event wakes us
-                # Inline downstream credit check + reservation (the
-                # try_reserve call path costs more than the scan).
+                # Inline downstream credit check + reservation.
                 downstream_vc = None
                 bucket = packet.vnet
                 if bit & link_mask:
@@ -379,52 +377,30 @@ class Router:
         out.packets_tx += 1
         net = self.network
         link_latency = net._link_latency
-        # Link-load and traffic accounting (record_link_load inlined).
+        # Link-load and traffic accounting.
         net._link_load[self._ll_base | direction] += flits
         net._traffic_flits[packet.traffic_idx] += flits
 
-        if self._push_tracking and packet.msg_type is _PUSH:
-            net.schedule_deregister(
-                self, out, packet.pid, packet.line_addr,
-                cycle + flits - 1 + link_latency)
-
-        # Move the replica across the link (Network.dispatch inlined).
-        # Link hops always carry a reserved downstream VC; ejections
-        # never do, so the reservation doubles as the link/eject test.
-        net._last_progress = cycle
         scheduler = net.scheduler
+        if self._push_tracking and packet.msg_type is _PUSH:
+            scheduler.at(cycle + flits - 1 + link_latency,
+                         Deregister(net, self, out.filter, packet.pid,
+                                    packet.line_addr))
+
+        # Move the replica across the link.  Link hops always carry a
+        # reserved downstream VC; ejections never do, so the
+        # reservation doubles as the link/eject test.
+        net._last_progress = cycle
         if downstream_vc is not None:
             if self._has_classes:
                 branch.vc_bucket = bucket
                 branch.ring = direction
-            pool = net._arrival_pool
-            event = pool.pop() if pool else LinkArrival(net)
-            event.router = net._downstream_router[self.id][direction]
-            event.packet = branch
-            event.in_dir = self._downstream_in[direction]
-            event.vc = downstream_vc
-            target = cycle + 1 + link_latency
+            scheduler.at(cycle + 1 + link_latency, LinkArrival(
+                net._downstream_router[self.id][direction], branch,
+                self._downstream_in[direction], downstream_vc))
         else:
-            pool = net._eject_pool
-            event = pool.pop() if pool else Ejection(net)
-            event.tile = self._eject_tiles[direction]
-            event.packet = branch
-            target = cycle + link_latency + flits
-        # Scheduler.at inlined, wheel fast path only: the target is a
-        # link latency plus a packet length ahead of now, always inside
-        # the wheel window, and never in the past.
-        scheduler._pending += 1
-        index = target & _MASK
-        tag = scheduler._bucket_cycle[index]
-        if tag == target:
-            scheduler._buckets[index].append(event)
-        elif tag == _FREE:
-            scheduler._bucket_cycle[index] = target
-            scheduler._buckets[index].append(event)
-            heappush(scheduler._occupied, target)
-        else:
-            heappush(scheduler._overflow,
-                     (target, next(scheduler._seq), event))
+            scheduler.at(cycle + link_latency + flits, Ejection(
+                net, self._eject_tiles[direction], branch))
 
         if not pending:
             # The buffer is still being read until the tail flit leaves;

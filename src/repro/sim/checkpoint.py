@@ -392,12 +392,10 @@ def restore_system(system, state: Dict) -> int:
     _load_network(system.network, state["network"], cycle)
     system.stats.restore_state(state["stats"])
 
-    steps = []
     for tile in state["arrival_order"]:
         core = system.cores[tile]
         core._step_scheduled = True
-        steps.append(core._step)
-    scheduler.at_many(cycle, steps)
+        scheduler.at(cycle, core._step)
     system._cores_started = True
     system.restored_at = cycle
     return cycle

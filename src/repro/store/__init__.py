@@ -20,8 +20,7 @@ workflows.
 """
 
 from repro.store.backend import (DEFAULT_CACHE_DIR, Backend, LocalBackend,
-                                 RemoteBackend, cache_disabled, cache_root,
-                                 open_backend)
+                                 cache_disabled, cache_root, open_backend)
 from repro.store.index import (CKPT_SCHEMA_VERSION, NAMESPACES,
                                RESULT_SCHEMA_VERSION, TRACE_SCHEMA_VERSION,
                                Index, Namespace, warn_fallback)
@@ -33,7 +32,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "Backend",
     "LocalBackend",
-    "RemoteBackend",
     "cache_disabled",
     "cache_root",
     "open_backend",

@@ -3,20 +3,14 @@
 A :class:`Backend` is a flat keyed-blob namespace addressed by
 POSIX-style relative paths (``objects/ab/cdef...``,
 ``index/results/<key>.json``).  The object and index layers above it
-never touch the filesystem directly, so the same code serves a local
-``.repro_cache/`` tree and a remote store reached through a URL.
+never touch the filesystem directly.
 
-Two implementations ship today:
-
-* :class:`LocalBackend` — a directory on the local filesystem.  Every
-  write is atomic (``*.tmp`` staging file + ``os.replace``), so a
-  killed sweep worker can never leave a torn object that a later read
-  mistakes for content.
-* :class:`RemoteBackend` — an fsspec-style URL-dispatched backend.
-  ``file://`` URLs and plain paths map onto :class:`LocalBackend`
-  mechanics (an NFS mount, a USB disk, a second checkout); new schemes
-  register a factory in :data:`RemoteBackend.SCHEMES` without touching
-  the layers above.
+The one implementation is :class:`LocalBackend`, a directory on the
+local filesystem.  Every write is atomic (``*.tmp`` staging file +
+``os.replace``), so a killed sweep worker can never leave a torn object
+that a later read mistakes for content.  :func:`open_backend` maps a
+plain path or a ``file://`` URL (an NFS mount, a USB disk, a second
+checkout) onto it.
 
 ``get_many``/``set_many`` are the bulk-transfer hooks the push/pull
 sync uses; backends with a real wire protocol can override them to
@@ -29,8 +23,7 @@ import os
 import tempfile
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, Iterator, Optional, Tuple,
-                    Union)
+from typing import Iterable, Iterator, Optional, Tuple, Union
 from urllib.parse import urlsplit
 
 #: Default on-disk cache location, relative to the working directory.
@@ -188,75 +181,18 @@ class LocalBackend(Backend):
             pass
 
 
-class RemoteBackend(Backend):
-    """URL-dispatched remote store (fsspec-style scheme registry).
-
-    ``file://`` URLs and plain paths delegate to local-filesystem
-    mechanics — that already covers the multi-host recipes this repo
-    targets (a shared NFS mount, a lab machine's tree synced over any
-    file transport).  A new scheme plugs in by registering a
-    ``url -> Backend`` factory in :data:`SCHEMES`; nothing above the
-    backend layer changes.
-    """
-
-    #: scheme -> factory producing the backend for a URL of that scheme
-    SCHEMES: Dict[str, Callable[[str], "Backend"]] = {}
-
-    def __init__(self, url: Union[str, Path]) -> None:
-        self.url = str(url)
-        parts = urlsplit(self.url)
-        if parts.scheme in ("", "file"):
-            path = parts.path if parts.scheme else self.url
-            self._fs: Backend = LocalBackend(path)
-        elif parts.scheme in self.SCHEMES:
-            self._fs = self.SCHEMES[parts.scheme](self.url)
-        else:
-            raise ValueError(
-                f"unsupported remote scheme {parts.scheme!r} in "
-                f"{self.url!r}; known: file, "
-                f"{sorted(self.SCHEMES) or 'none registered'}")
-
-    def __repr__(self) -> str:
-        return f"RemoteBackend({self.url!r})"
-
-    def read(self, rel: str) -> bytes:
-        return self._fs.read(rel)
-
-    def write(self, rel: str, data: bytes) -> None:
-        self._fs.write(rel, data)
-
-    def exists(self, rel: str) -> bool:
-        return self._fs.exists(rel)
-
-    def delete(self, rel: str) -> None:
-        self._fs.delete(rel)
-
-    def list(self, prefix: str = "") -> Iterator[str]:
-        return self._fs.list(prefix)
-
-    def stat(self, rel: str) -> Tuple[int, float]:
-        return self._fs.stat(rel)
-
-    def local_root(self) -> Optional[Path]:
-        return self._fs.local_root()
-
-    def utime(self, rel: str, times: Tuple[float, float]) -> None:
-        self._fs.utime(rel, times)
-
-    def get_many(self, rels: Iterable[str]
-                 ) -> Iterator[Tuple[str, Optional[bytes]]]:
-        return self._fs.get_many(rels)
-
-    def set_many(self, pairs: Iterable[Tuple[str, bytes]]) -> int:
-        return self._fs.set_many(pairs)
-
-
 def open_backend(target: Union[Backend, str, Path, None] = None) -> Backend:
-    """A backend for ``target``: a Backend passes through, a URL opens
-    a :class:`RemoteBackend`, a path (or None, via :func:`cache_root`)
-    opens a :class:`LocalBackend`."""
+    """A backend for ``target``: a Backend passes through, a
+    ``file://`` URL or a path (or None, via :func:`cache_root`) opens a
+    :class:`LocalBackend`; any other URL scheme is a ``ValueError``."""
     if isinstance(target, Backend):
         return target
     if target is not None and "://" in str(target):
-        return RemoteBackend(str(target))
+        url = str(target)
+        parts = urlsplit(url)
+        if parts.scheme != "file":
+            raise ValueError(
+                f"unsupported remote scheme {parts.scheme!r} in "
+                f"{url!r}; known: file")
+        return LocalBackend(parts.path)
     return LocalBackend(cache_root(target))

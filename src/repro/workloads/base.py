@@ -21,7 +21,7 @@ alias across (or within) workloads.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List
+from typing import Iterator
 
 from repro.common.params import LINE_BYTES
 from repro.cpu.traces import MemAccess
@@ -96,7 +96,3 @@ def scan(region: Region, start: int, count: int, base_work: int,
                         is_write=is_write,
                         work=jittered(base_work, rng), pc=pc)
 
-
-def make_traces(num_cores: int, builder) -> List:
-    """Instantiate one generator per core from ``builder(core)``."""
-    return [builder(core) for core in range(num_cores)]

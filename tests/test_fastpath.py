@@ -6,14 +6,10 @@ in bulk instead of one scheduler event per access.  It is an
 every counter in every ``core*``/``l2_*``/``llc_*``/network group,
 including the LRU-dependent eviction counters and the per-core
 ``window_stalls`` that only move if issue timing is exact — must be
-bit-identical with the fast path on and forced off (``set_fastpath`` /
-the ``REPRO_NO_FASTPATH=1`` escape hatch).
+bit-identical with the fast path on and forced off (``set_fastpath``).
 """
 
 from __future__ import annotations
-
-import subprocess
-import sys
 
 import pytest
 
@@ -122,14 +118,3 @@ def test_set_fastpath_switch_round_trips() -> None:
     assert not fastpath_enabled()
     set_fastpath(True)
     assert fastpath_enabled()
-
-
-def test_env_var_escape_hatch_disables_fastpath() -> None:
-    """``REPRO_NO_FASTPATH=1`` must win at import time (fresh process)."""
-    code = ("import repro.cpu.fastpath as fp; "
-            "raise SystemExit(0 if not fp.fastpath_enabled() else 1)")
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": "src", "REPRO_NO_FASTPATH": "1"},
-        cwd=str(__import__("pathlib").Path(__file__).parents[1]))
-    assert proc.returncode == 0

@@ -20,8 +20,7 @@ import pytest
 from repro.sim.checkpoint import CheckpointStore
 from repro.sim.sweep import ResultCache
 from repro.store import (RESULT_SCHEMA_VERSION, LocalBackend, ObjectStore,
-                         RemoteBackend, Store, cache_root, open_backend, pull,
-                         push)
+                         Store, cache_root, open_backend, pull, push)
 
 
 class TestCacheRoot:
@@ -313,7 +312,8 @@ class TestPushPull:
 
     def test_remote_url_and_unknown_scheme(self, tmp_path) -> None:
         backend = open_backend(f"file://{tmp_path}/remote")
-        assert isinstance(backend, RemoteBackend)
+        assert isinstance(backend, LocalBackend)
+        assert backend.local_root() == tmp_path / "remote"
         backend.write("index/results/probe.json", b"{}")
         assert (tmp_path / "remote" / "index" / "results" /
                 "probe.json").read_bytes() == b"{}"
