@@ -7,7 +7,7 @@ Following the flat-array formulation of *Bufferless NOC Simulation of
 Large Multicore Systems on GPU Hardware* (see PAPERS.md), this engine
 keeps every virtual channel of every router in preallocated NumPy
 arrays indexed ``(router, port, vc-bucket, vc)`` and performs the
-per-cycle credit scan, switch allocation, link transmit, and ejection
+per-cycle credit check, switch allocation, link transmit, and ejection
 as masked array operations over the whole fabric at once.
 
 Layout
@@ -22,7 +22,9 @@ num_vc_classes`` VC buckets of ``C`` VCs, so VC slots flatten to
 packet record (owner index, routed output key, destination bucket at
 the next hop, flit count, traffic class, eligibility cycle) so one
 ``lexsort`` picks every router's switch-allocation winner in a single
-pass.
+pass.  A per-bucket free-VC count is the credit count: every install
+takes one and every slot clear returns one, so no pass recounts the
+fabric.
 
 Timing model
 ------------
@@ -321,11 +323,9 @@ class ArrayNetwork:
         self._ni_busy = np.full(tiles, -1, dtype=np.int64)
         self._q_len = np.zeros((tiles, vnets), dtype=np.int64)
         self._ni_rr: List[int] = [0] * tiles
-        # Per-cycle free-VC cache, rebuilt at each tick: free slots per
-        # bucket plus the offset of the first free one (possibly stale
-        # within a cycle; _take_free_vc verifies before use).
-        self._free_cnt = np.zeros(keys * buckets, dtype=np.int64)
-        self._first_free = np.zeros(keys * buckets, dtype=np.int64)
+        #: free VC slots per bucket (the credit count), kept exact by
+        #: every install (-1) and slot clear (+1)
+        self._free_cnt = np.full(keys * buckets, depth, dtype=np.int64)
         self._vnet_orders = tuple(
             tuple((start + step) % vnets for step in range(vnets))
             for start in range(vnets))
@@ -404,6 +404,7 @@ class ArrayNetwork:
         self._free_pix.append(pix)
 
     def _clear_slot(self, slot: int) -> None:
+        self._free_cnt[slot // self._vcs_per_bucket] += 1
         self._s_pix[slot] = -1
         self._s_ready[slot] = NEVER
         self._s_outkey[slot] = -1
@@ -415,6 +416,10 @@ class ArrayNetwork:
 
     def _clear_slots(self, slots) -> None:
         """Bulk form of :meth:`_clear_slot` (list or index array)."""
+        slots = np.asarray(slots, dtype=np.int64)
+        # Two released slots may share a bucket, so the credit add
+        # must accumulate.
+        np.add.at(self._free_cnt, slots // self._vcs_per_bucket, 1)
         self._s_pix[slots] = -1
         self._s_ready[slots] = NEVER
         self._s_outkey[slots] = -1
@@ -464,10 +469,8 @@ class ArrayNetwork:
     def _take_free_vc(self, bucket_key: int) -> int:
         """Claim the first free slot of a VC bucket, or -1.
 
-        Works off the per-cycle free-VC cache; the cached first-free
-        offset may be stale after an earlier install this cycle, so it
-        is verified and re-scanned on a miss.  The free count is
-        decremented — the caller must install into the returned slot.
+        The free count is decremented — the caller must install into
+        the returned slot.
         """
         free_cnt = self._free_cnt
         count = free_cnt[bucket_key]
@@ -475,17 +478,15 @@ class ArrayNetwork:
             return -1
         depth = self._vcs_per_bucket
         base = bucket_key * depth
-        slot = base + self._first_free[bucket_key]
         s_pix = self._s_pix
-        if s_pix[slot] >= 0:
-            for slot in range(base, base + depth):
-                if s_pix[slot] < 0:
-                    break
+        for slot in range(base, base + depth):
+            if s_pix[slot] < 0:
+                break
         free_cnt[bucket_key] = count - 1
         return slot
 
     def _install(self, slot: int, pix: int, packet: Packet, key: int,
-                 bucket: int, ready: int, prev_out: int):
+                 ready: int, prev_out: int):
         """Write a packet record into input slot ``slot`` of port ``key``.
 
         Returns the ``(port, dests)`` pairs the packet will compete for
@@ -568,7 +569,6 @@ class ArrayNetwork:
         if not tiles.size:
             return
         latency = self._link_latency
-        classes = self._num_classes
         ordered = self.ordered_pushes
         for tile in tiles.tolist():
             queues = self._queues[tile]
@@ -589,8 +589,7 @@ class ArrayNetwork:
                 self._backlog_total -= 1
                 pix = self._alloc_packet(packet)
                 ports = self._install(
-                    slot, pix, packet, key, vnet * classes,
-                    cycle + latency + 1, -1)
+                    slot, pix, packet, key, cycle + latency + 1, -1)
                 self._ni_busy[tile] = cycle + packet.flits - 1
                 arrival = cycle + latency
                 if self._push_tracking and packet.msg_type is _PUSH:
@@ -647,8 +646,8 @@ class ArrayNetwork:
                     continue
                 eject = eject_tile[key]
                 child_slot = -1
-                bucket = vnet
                 if eject < 0:
+                    bucket = vnet
                     if self._num_classes > 1:
                         bucket = (here if prev_out == port
                                   else vnet * self._num_classes)
@@ -674,8 +673,7 @@ class ArrayNetwork:
                 else:
                     child_ports = self._install(
                         child_slot, child_pix, branch,
-                        down_key[key], bucket,
-                        cycle + latency + 2, port)
+                        down_key[key], cycle + latency + 2, port)
                     if self._push_tracking and branch.msg_type is _PUSH:
                         self.scheduler.at(cycle + 1 + latency, _Register(
                             self, down_key[key] // radix,
@@ -693,7 +691,6 @@ class ArrayNetwork:
                 # Freed at grant like the reference's single-flit path;
                 # the credit becomes visible to this cycle's allocation.
                 self._clear_slot(slot)
-                self._free_cnt[slot // depth] += 1
                 self._free_packet(pix)
             else:
                 heappush(self._release, (cycle + flits - 1, slot, pix))
@@ -707,8 +704,9 @@ class ArrayNetwork:
         out_keys = self._s_outkey[cand]
         down_bucket = self._s_downbucket[cand]
         # Port free + downstream credit (ejections always accept).  The
-        # occupancy cache already reflects this cycle's injection and
-        # multicast claims, exactly like a fresh recount would.
+        # free counts already reflect this cycle's releases and its
+        # injection and multicast claims; the short-winner clears at the
+        # end of this pass only show from the next cycle on.
         valid = (self._p_busy[out_keys] < cycle) & (
             (self._s_downbase[cand] < 0)
             | (self._free_cnt[down_bucket] > 0))
@@ -789,9 +787,11 @@ class ArrayNetwork:
         base = down_bucket * depth
         # First free VC of each destination bucket (credit-checked, and
         # each bucket is fed by exactly one upstream port, so at most
-        # one install lands per bucket per cycle).
+        # one install lands per bucket per cycle and the plain fancy
+        # decrement below is exact).
         block = self._s_pix[base[:, None] + np.arange(depth)]
         new_slots = base + (block < 0).argmax(axis=1)
+        self._free_cnt[down_bucket] -= 1
         dest = self._s_dest[src]
         vnet = self._s_vnet[src]
         down_key = self._down_key[keys]
@@ -870,12 +870,6 @@ class ArrayNetwork:
                     if pix >= 0:
                         self._free_packet(pix)
                 self._clear_slots(due)
-            # Per-cycle occupancy caches: free-VC count and first free
-            # slot of every bucket.  _take_free_vc claims from them on
-            # the scalar paths; the passes consult them vectorized.
-            occ = self._s_pix.reshape(-1, self._vcs_per_bucket) < 0
-            self._free_cnt = occ.sum(axis=1)
-            self._first_free = occ.argmax(axis=1)
             if self._backlog_total:
                 self._inject_pass(cycle)
             if self._mc:

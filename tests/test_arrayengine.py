@@ -144,10 +144,59 @@ class TestConservation:
         assert net.inflight == 0 and not net.active
         assert not net._mc and net._backlog_total == 0
         assert int((net._s_pix >= 0).sum()) == 0
+        # every credit came home: each bucket reads its full depth
+        assert (net._free_cnt == net._vcs_per_bucket).all()
         injected = net.stats.get("packets_injected")
         ejected = net.stats.get("packets_ejected")
         # pure-NoC run, no filters: every destination got its delivery
         assert ejected >= injected > 0
+
+
+class TestCreditCounts:
+    """The per-bucket free-VC counts stay exact as slots fill and free.
+
+    ``_free_cnt`` is updated at every install and slot clear rather than
+    recounted; after every tick it must equal a recount of the slot
+    occupancy, including the clears the filter's events make between
+    ticks.
+    """
+
+    @staticmethod
+    def _checked_ticks(monkeypatch) -> list:
+        ticks = []
+        tick = ArrayNetwork.tick
+
+        def checked(net, cycle):
+            tick(net, cycle)
+            depth = net._vcs_per_bucket
+            recount = (net._s_pix.reshape(-1, depth) < 0).sum(axis=1)
+            assert (net._free_cnt == recount).all(), cycle
+            ticks.append(cycle)
+
+        monkeypatch.setattr(ArrayNetwork, "tick", checked)
+        return ticks
+
+    @pytest.mark.parametrize("fabric", ("mesh", "torus", "cmesh"))
+    def test_counts_match_occupancy_every_tick(
+            self, fabric: str, monkeypatch) -> None:
+        ticks = self._checked_ticks(monkeypatch)
+        grid, rate = FABRICS[fabric]
+        net, scheduler = _build("array", NoCParams(**grid))
+        _drive(net, scheduler, 64, rate, horizon=150, seed=11,
+               mc_frac=0.2)
+        assert ticks and not net.active
+        assert (net._free_cnt == net._vcs_per_bucket).all()
+
+    def test_counts_match_with_filter_drops(self, monkeypatch) -> None:
+        """Full stack: ``_Lookup`` and ``_Register`` free dropped
+        requests' slots outside ``tick``."""
+        ticks = self._checked_ticks(monkeypatch)
+        result = run_workload("cachebw", "push_mc_filter", num_cores=16,
+                              engine="array", iters=2, array_lines=576,
+                              **bench_kwargs())
+        assert ticks
+        assert result.pushes_triggered > 0
+        assert result.requests_filtered > 0
 
 
 # ---------------------------------------------------------------------------
