@@ -16,7 +16,7 @@ other columns are zero on a barrier row.
 :class:`TraceCache` stores compiled buffers in two layers: an
 in-process memo keyed by the trace's content hash, and (unless
 ``REPRO_NO_CACHE`` is set) the unified content-addressed store's
-``traces`` index (:mod:`repro.store`) — the same root as the sweep's
+``traces`` namespace (:mod:`repro.store`) — the same root as the sweep's
 result cache (``.repro_cache/``, relocatable with ``REPRO_CACHE_DIR``)
 — so sweep worker processes and later sessions share one compilation
 per point.  Serialization is a fixed little-endian layout, so the same
@@ -211,9 +211,9 @@ class TraceCache:
                 self.memo.popitem(last=False)
 
     def path_for(self, key: str) -> Optional[Path]:
-        """The index entry file for ``key`` (None when disk is off)."""
+        """The entry file for ``key`` (None when disk is off)."""
         store = self._store()
-        return None if store is None else store.index("traces").entry_path(key)
+        return None if store is None else store.entry_path("traces", key)
 
     def get_or_build(self, key: str,
                      build: Callable[[], List[TraceBuffer]]
@@ -226,7 +226,7 @@ class TraceCache:
             return buffers
         store = self._store()
         if store is not None:
-            blob = store.index("traces").get_bytes(key)
+            blob = store.get("traces", key)
             if blob is not None:
                 try:
                     buffers = load_buffers(blob)
@@ -242,7 +242,7 @@ class TraceCache:
         self.memo[key] = buffers
         self._trim()
         if store is not None:
-            store.index("traces").put_bytes(key, dump_buffers(buffers))
+            store.set("traces", key, dump_buffers(buffers))
         return buffers
 
     def clear(self) -> None:
@@ -250,5 +250,5 @@ class TraceCache:
         self.memo.clear()
         store = self._store()
         if store is not None:
-            store.index("traces").clear()
+            store.clear("traces")
 

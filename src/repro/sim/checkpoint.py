@@ -19,7 +19,7 @@ This module amortizes that cost:
   original process past the hold (``tests/test_checkpoint.py`` enforces
   this across schemes and fabrics);
 * :class:`CheckpointStore` persists snapshots through the unified
-  content-addressed store's ``ckpt`` index (:mod:`repro.store`; gzip
+  content-addressed store's ``ckpt`` namespace (:mod:`repro.store`; gzip
   codec, streaming compression) keyed by (trace key, warm-relevant
   config fields, warmup window, warming mode).  Corrupt or
   version-mismatched entries fall back to a cold rebuild with a
@@ -517,7 +517,7 @@ def _json_chunks(state: Dict, chunk: int = 1 << 20) -> Iterator[str]:
 class CheckpointStore:
     """Warm-state snapshots as a typed view over the unified store.
 
-    A thin wrapper around the store's ``ckpt`` index (gzip codec,
+    A thin wrapper around the store's ``ckpt`` namespace (gzip codec,
     streaming compression): honors ``REPRO_CACHE_DIR`` and
     ``REPRO_NO_CACHE`` (resolved per call), writes atomically, and
     treats unreadable, corrupt, or version-mismatched entries as
@@ -536,9 +536,9 @@ class CheckpointStore:
         return Store(self._root)
 
     def path_for(self, key: str) -> Optional[Path]:
-        """The index entry file for ``key`` (None when disabled)."""
+        """The entry file for ``key`` (None when disabled)."""
         store = self._store()
-        return None if store is None else store.index("ckpt").entry_path(key)
+        return None if store is None else store.entry_path("ckpt", key)
 
     def has(self, key: str) -> bool:
         """Whether a trusted snapshot exists for ``key``.
@@ -547,14 +547,14 @@ class CheckpointStore:
         planning can cheaply decide whether a warm build is needed.
         """
         store = self._store()
-        return store is not None and store.index("ckpt").has(key)
+        return store is not None and store.entry("ckpt", key) is not None
 
     def _load(self, key: str) -> Optional[Dict]:
         """Fetch and vet a snapshot without touching the counters."""
         store = self._store()
         if store is None:
             return None
-        data = store.index("ckpt").get_bytes(key)
+        data = store.get("ckpt", key)
         if data is None:
             return None
         try:
@@ -597,12 +597,12 @@ class CheckpointStore:
         store = self._store()
         if store is None:
             return
-        store.index("ckpt").put_stream(key, _json_chunks(state))
+        store.set("ckpt", key, _json_chunks(state))
 
     def clear(self) -> None:
         store = self._store()
         if store is not None:
-            store.index("ckpt").clear()
+            store.clear("ckpt")
 
 
 class MemoCheckpointStore(CheckpointStore):

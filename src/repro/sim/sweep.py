@@ -38,7 +38,7 @@ A point's key is the SHA-256 of a canonical JSON document containing:
   including defaults applied by ``make_params``, changes the key;
 * the workload spec: name, core count, seed, and sizing keywords;
 * ``max_cycles``; and
-* :data:`~repro.store.index.RESULT_SCHEMA_VERSION` — bump it whenever
+* :data:`~repro.store.RESULT_SCHEMA_VERSION` — bump it whenever
   simulator semantics change so stale results can never be replayed.
 
 The **cost key** is the same document with the seed blanked: seeds
@@ -236,7 +236,7 @@ def cost_key(point: SweepPoint, spec: Optional[Dict] = None) -> str:
 class ResultCache:
     """:class:`SimResult` records as a typed view over the unified store.
 
-    A thin wrapper around the store's ``results`` index: keys map to
+    A thin wrapper around the store's ``results`` namespace: keys map to
     content-addressed objects holding the sorted-JSON record, and
     writes are atomic.  ``REPRO_NO_CACHE`` is honored per call (see
     :func:`repro.store.cache_disabled`): a disabled cache reads as
@@ -253,22 +253,22 @@ class ResultCache:
     def root(self) -> Path:
         return cache_root(self._root)
 
-    def _index(self):
-        """The ``results`` index, or None while caching is disabled."""
+    def _store(self) -> Optional[Store]:
+        """The store, or None while caching is disabled."""
         if cache_disabled():
             return None
-        return Store(self._root).index("results")
+        return Store(self._root)
 
     def path_for(self, key: str) -> Optional[Path]:
         """The index entry file for ``key`` (its existence == cached);
         None while caching is disabled."""
-        index = self._index()
-        return None if index is None else index.entry_path(key)
+        store = self._store()
+        return None if store is None else store.entry_path("results", key)
 
     def get(self, key: str) -> Optional[SimResult]:
         """The cached result for a key, or None (corrupt entries miss)."""
-        index = self._index()
-        data = index.get_bytes(key) if index is not None else None
+        store = self._store()
+        data = store.get("results", key) if store is not None else None
         if data is not None:
             try:
                 result = SimResult.from_dict(json.loads(data))
@@ -290,8 +290,8 @@ class ResultCache:
         the executor's scheduling history — never in the result
         payload, which stays bit-identical to the simulator's output.
         """
-        index = self._index()
-        if index is None:
+        store = self._store()
+        if store is None:
             return
         payload = json.dumps(result.to_dict(),
                              sort_keys=True).encode("utf-8")
@@ -300,12 +300,12 @@ class ResultCache:
             meta = {"wall": round(wall, 4)}
             if cost is not None:
                 meta["cost"] = cost
-        index.put_bytes(key, payload, meta=meta)
+        store.set("results", key, payload, meta=meta)
 
     def clear(self) -> int:
         """Delete every cached entry; returns the number removed."""
-        index = self._index()
-        return 0 if index is None else index.clear()
+        store = self._store()
+        return 0 if store is None else store.clear("results")
 
 
 def _resolve_cache(cache) -> Optional[ResultCache]:
@@ -339,11 +339,11 @@ class CostModel:
     @classmethod
     def load(cls, store: Optional[ResultCache]) -> "CostModel":
         model = cls()
-        index = store._index() if store is not None else None
-        if index is None:
+        disk = store._store() if store is not None else None
+        if disk is None:
             return model
         scanned = 0
-        for _, entry in index.entries():
+        for _, entry in disk.entries("results"):
             wall, cost = entry.get("wall"), entry.get("cost")
             if isinstance(wall, (int, float)) and wall >= 0 \
                     and isinstance(cost, str):

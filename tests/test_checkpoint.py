@@ -185,8 +185,7 @@ class TestStoreRobustness:
         store = CheckpointStore()
         clean = run_workload(**self._warm_kwargs(store))
         unified = Store(tmp_path)
-        (key,) = unified.index("ckpt").keys()
-        entry = unified.index("ckpt").read_entry(key)
+        ((key, entry),) = unified.entries("ckpt")
         # Flip bits in the stored object: digest verification must
         # reject it and the warm phase must rebuild from cold.
         unified.object_path(entry["digest"]).write_bytes(
@@ -201,8 +200,8 @@ class TestStoreRobustness:
         store = CheckpointStore()
         clean = run_workload(**self._warm_kwargs(store))
         unified = Store(tmp_path)
-        (key,) = unified.index("ckpt").keys()
-        path = unified.index("ckpt").entry_path(key)
+        ((key, _),) = unified.entries("ckpt")
+        path = unified.entry_path("ckpt", key)
         entry = json.loads(path.read_text())
         entry["schema"] += 1
         path.write_text(json.dumps(entry))
@@ -218,11 +217,10 @@ class TestStoreRobustness:
         store = CheckpointStore()
         clean = run_workload(**self._warm_kwargs(store))
         unified = Store(tmp_path)
-        (key,) = unified.index("ckpt").keys()
-        state = json.loads(unified.index("ckpt").get_bytes(key))
+        ((key, _),) = unified.entries("ckpt")
+        state = json.loads(unified.get("ckpt", key))
         state["version"] = CKPT_SCHEMA_VERSION + 1
-        unified.index("ckpt").put_bytes(
-            key, json.dumps(state).encode("utf-8"))
+        unified.set("ckpt", key, json.dumps(state).encode("utf-8"))
         with pytest.warns(RuntimeWarning, match="schema"):
             rebuilt = run_workload(**self._warm_kwargs(store))
         assert rebuilt.to_dict() == clean.to_dict()

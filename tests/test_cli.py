@@ -106,7 +106,7 @@ class TestWarmupFlags:
         assert code == 0
         assert "cycles" in capsys.readouterr().out
         from repro.store import Store
-        assert list(Store(tmp_path / "cache").index("ckpt").keys())
+        assert list(Store(tmp_path / "cache").entries("ckpt"))
 
 
 class TestCacheCommand:
@@ -144,8 +144,8 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert "objects" in out and str(remote) in out
         local = Store(tmp_path / "cache")
-        assert set(Store(remote).index("results").keys()) == \
-            set(local.index("results").keys())
+        assert dict(Store(remote).entries("results")).keys() == \
+            dict(local.entries("results")).keys()
         # a second push finds nothing missing
         assert main(["cache", "push", "--remote", str(remote)]) == 0
         total = [line for line in capsys.readouterr().out.splitlines()
@@ -155,23 +155,23 @@ class TestCacheCommand:
         other = tmp_path / "other"
         assert main(["cache", "pull", "--remote", str(remote),
                      "--dir", str(other)]) == 0
-        assert set(Store(other).index("ckpt").keys()) == \
-            set(local.index("ckpt").keys())
+        assert dict(Store(other).entries("ckpt")).keys() == \
+            dict(local.entries("ckpt")).keys()
 
     def test_gc_keeps_newest_entries(self, capsys, tmp_path) -> None:
         import os
         from repro.store import Store
         store = Store(tmp_path)
-        results = store.index("results")
-        results.put_bytes("old", b"x" * 100)
-        results.put_bytes("new", b"y" * 100)
-        old_digest = results.read_entry("old")["digest"]
+        store.set("results", "old", b"x" * 100)
+        store.set("results", "new", b"y" * 100)
+        old_digest = store.entry("results", "old")["digest"]
         os.utime(store.object_path(old_digest), (1, 1))
         assert main(["cache", "gc", "--max-bytes", "150",
                      "--dir", str(tmp_path)]) == 0
         assert "removed 1 entries" in capsys.readouterr().out
-        assert not results.has("old") and results.has("new")
-        assert not store.objects.has(old_digest)
+        assert store.entry("results", "old") is None
+        assert store.entry("results", "new") is not None
+        assert not store.object_path(old_digest).exists()
 
 
 class TestTopologyFlags:
