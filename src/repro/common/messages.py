@@ -113,10 +113,13 @@ _VNET_TABLE: List[int] = [0] * (max(MsgType) + 1)
 _DATA_TABLE: List[bool] = [False] * (max(MsgType) + 1)
 _TRAFFIC_TABLE: List[TrafficClass] = [TrafficClass.OTHER] * (
     max(MsgType) + 1)
+#: ``_TRAFFIC_TABLE[t].value`` as plain ints (no enum descriptor call)
+_TRAFFIC_IDX_TABLE: List[int] = [0] * (max(MsgType) + 1)
 for _mt in MsgType:
     _VNET_TABLE[_mt] = _VNET_OF[_mt]
     _DATA_TABLE[_mt] = _mt in _DATA_TYPES
     _TRAFFIC_TABLE[_mt] = traffic_class_of(_mt)
+    _TRAFFIC_IDX_TABLE[_mt] = _TRAFFIC_TABLE[_mt].value
 
 _uid_counter = itertools.count()
 
@@ -166,7 +169,7 @@ class CoherenceMsg:
         self.traffic_class = _TRAFFIC_TABLE[msg_type]
         #: ``traffic_class.value`` cached as a plain int — the NoC's
         #: per-flit accounting indexes a list with it
-        self.traffic_idx = self.traffic_class.value
+        self.traffic_idx = _TRAFFIC_IDX_TABLE[msg_type]
 
     def __repr__(self) -> str:
         dests = ",".join(map(str, self.dests))

@@ -13,6 +13,14 @@ Row *i* of a buffer is one trace record.  ``addr[i] < 0`` is the
 barrier sentinel (real addresses are non-negative byte addresses); the
 other columns are zero on a barrier row.
 
+Compilation works in bulk, not record by record: :meth:`TraceBuffer.compile`
+pulls :data:`COMPILE_CHUNK` records at a time, maps :data:`BARRIER` to
+its row, transposes the chunk with ``zip(*rows)`` and extends each
+column with it, so the per-record work runs in C and transient memory
+is one chunk, never the whole trace.  What is left per record is the
+generator itself; :func:`repro.workloads.base.access` and ``scan`` keep
+that to the random draws and one ``tuple.__new__``.
+
 :class:`TraceCache` stores compiled buffers in two layers: an
 in-process memo keyed by the trace's content hash, and (unless
 ``REPRO_NO_CACHE`` is set) the unified content-addressed store's
@@ -32,6 +40,7 @@ import json
 import struct
 import sys
 from collections import OrderedDict
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
@@ -43,6 +52,10 @@ __all__ = ["TRACE_SCHEMA_VERSION", "TraceBuffer", "TraceCache",
 
 _MAGIC = b"RTB1"
 _COLUMNS = ("addr", "is_write", "work", "insts", "pc")
+#: the row a :data:`BARRIER` compiles to
+_BARRIER_ROW = (-1, 0, 0, 0, 0)
+#: records :meth:`TraceBuffer.compile` transposes per step
+COMPILE_CHUNK = 4096
 
 
 class TraceBuffer:
@@ -65,26 +78,28 @@ class TraceBuffer:
 
     @classmethod
     def compile(cls, records: Iterable[TraceRecord]) -> "TraceBuffer":
-        """Materialize a record iterable (e.g. a live generator)."""
-        addr = array.array("q")
-        is_write = array.array("q")
-        work = array.array("q")
-        insts = array.array("q")
-        pc = array.array("q")
-        for record in records:
-            if record is BARRIER:
-                addr.append(-1)
-                is_write.append(0)
-                work.append(0)
-                insts.append(0)
-                pc.append(0)
-            else:
-                addr.append(record.addr)
-                is_write.append(1 if record.is_write else 0)
-                work.append(record.work)
-                insts.append(record.insts)
-                pc.append(record.pc)
-        return cls(addr, is_write, work, insts, pc)
+        """Materialize a record iterable (e.g. a live generator).
+
+        Records are pulled :data:`COMPILE_CHUNK` at a time, transposed
+        with ``zip(*rows)`` and appended column by column, so the
+        per-record work runs in C and the transient rows never exceed
+        one chunk, however long the trace.
+        """
+        addr, is_write, work, insts, pc = (array.array("q")
+                                           for _ in _COLUMNS)
+        records = iter(records)
+        while True:
+            rows = [_BARRIER_ROW if record is BARRIER else record
+                    for record in islice(records, COMPILE_CHUNK)]
+            if not rows:
+                return cls(addr, is_write, work, insts, pc)
+            chunk_addr, chunk_write, chunk_work, chunk_insts, chunk_pc = (
+                zip(*rows))
+            addr.extend(chunk_addr)
+            is_write.extend(map(bool, chunk_write))  # any truthy flag -> 1
+            work.extend(chunk_work)
+            insts.extend(chunk_insts)
+            pc.extend(chunk_pc)
 
     def __len__(self) -> int:
         return len(self.addr)

@@ -26,7 +26,7 @@ class Packet:
     """
 
     __slots__ = ("msg", "dests", "flits", "injected_at", "pid",
-                 "arrival_cycle", "output_ports", "pending_ports",
+                 "arrival_cycle", "pending_ports",
                  "vnet", "line_addr", "msg_type", "traffic_idx",
                  "vc_bucket", "ring")
 
@@ -40,8 +40,6 @@ class Packet:
         self.pid = next(_packet_ids)
         #: cycle this packet finished buffer-write at the current router
         self.arrival_cycle = injected_at
-        #: route-compute result at the current router: {Direction: dests}
-        self.output_ports = None
         #: output ports not yet granted (asynchronous multicast residue)
         self.pending_ports = None
         # Cached per-hop routing keys (read once per hop per flit).

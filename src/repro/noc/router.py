@@ -65,15 +65,13 @@ _INV = MsgType.INV
 class OutputPort:
     """One router output port: switch/link occupancy plus its filter."""
 
-    __slots__ = ("direction", "busy_until", "filter", "flits_tx",
-                 "packets_tx")
+    __slots__ = ("direction", "busy_until", "filter", "flits_tx")
 
     def __init__(self, direction: int, filter_capacity: int) -> None:
         self.direction = direction
         self.busy_until = -1
         self.filter = InNetworkFilter(filter_capacity)
         self.flits_tx = 0
-        self.packets_tx = 0
 
 
 class Router:
@@ -161,12 +159,13 @@ class Router:
         now = net.scheduler.now
         packet.arrival_cycle = now
         dests = packet.dests
+        # Unicasts share one immutable port tuple; a multicast gets a
+        # fresh grouping list, the only kind _transmit shrinks.
         if len(dests) == 1:
             ports = self._unicast[packet.vnet][dests[0]]
         else:
             ports = net.tables.output_port_list(packet.vnet, self.id, dests)
-        packet.output_ports = ports
-        packet.pending_ports = list(ports)
+        packet.pending_ports = ports
 
         msg_type = packet.msg_type
         if self._filter_on and msg_type is _GETS:
@@ -360,10 +359,11 @@ class Router:
         """Send the replica for ``entry``'s port and retire the VC last."""
         packet = vc.packet
         pending = packet.pending_ports
-        pending.remove(entry)
+        last = len(pending) == 1
         direction, dests = entry
         flits = packet.flits
-        if pending:
+        if not last:
+            pending.remove(entry)
             branch = packet.replica(dests)
         else:
             # Last (usually only) branch: the packet object itself moves
@@ -374,7 +374,6 @@ class Router:
                 packet.dests = dests
         out.busy_until = cycle + flits - 1
         out.flits_tx += flits
-        out.packets_tx += 1
         net = self.network
         link_latency = net._link_latency
         # Link-load and traffic accounting.
@@ -402,7 +401,7 @@ class Router:
             scheduler.at(cycle + link_latency + flits, Ejection(
                 net, self._eject_tiles[direction], branch))
 
-        if not pending:
+        if last:
             # The buffer is still being read until the tail flit leaves;
             # free the VC (and its credit) only then.
             self._forget(vc)

@@ -493,25 +493,23 @@ def measured_result(system, workload: str, config: str,
 # the on-disk store
 # ---------------------------------------------------------------------------
 
-def _json_chunks(state: Dict, chunk: int = 1 << 20) -> Iterator[str]:
-    """Canonical-JSON a snapshot in bounded string slices.
+def _json_chunks(state: Dict) -> Iterator[str]:
+    """Canonical-JSON a snapshot one top-level section at a time.
 
-    A 64-core snapshot serializes to many megabytes; feeding slices to
-    the store's streaming gzip writer keeps the compressed object from
-    ever sitting next to the full encoded text in memory.
+    A 64-core snapshot serializes to many megabytes; feeding sections
+    to the store's streaming gzip writer keeps the compressed object
+    from ever sitting next to the full encoded text in memory.  Each
+    ``"key":value`` section goes through the C encoder (``encode``),
+    not the pure-Python ``iterencode``; the joined text is exactly
+    ``json.dumps(state, sort_keys=True, separators=(",", ":"))``.
     """
-    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-    buffer = []
-    buffered = 0
-    for piece in encoder.iterencode(state):
-        buffer.append(piece)
-        buffered += len(piece)
-        if buffered >= chunk:
-            yield "".join(buffer)
-            buffer.clear()
-            buffered = 0
-    if buffer:
-        yield "".join(buffer)
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    yield "{"
+    separator = ""
+    for key in sorted(state):
+        yield f"{separator}{encode(key)}:{encode(state[key])}"
+        separator = ","
+    yield "}"
 
 
 class CheckpointStore:

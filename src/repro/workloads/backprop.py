@@ -16,8 +16,8 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.cpu.traces import BARRIER, MemAccess
-from repro.workloads.base import AddressSpace, jittered, scan, stagger
+from repro.cpu.traces import BARRIER
+from repro.workloads.base import AddressSpace, access, jittered, scan, stagger
 
 
 def build(num_cores: int, seed: int = 1, weight_lines: int = 768,
@@ -39,11 +39,10 @@ def build(num_cores: int, seed: int = 1, weight_lines: int = 768,
             # weight rows (odd/even split overlaps across core pairs).
             parity = core % 2
             for row in range(parity, weight_lines, 2):
-                yield MemAccess(addr=weights.addr(row),
-                                work=jittered(work, rng), pc=0x30)
+                yield access(weights.addr(row), jittered(work, rng), 0x30)
                 if row % 8 == parity:
-                    yield MemAccess(addr=mine.addr(row // 8),
-                                    work=jittered(work, rng), pc=0x31)
+                    yield access(mine.addr(row // 8),
+                                 jittered(work, rng), 0x31)
             # Backward pass: write private deltas.
             yield from scan(mine, 0, private_lines, work, rng,
                             pc=0x32, is_write=True)

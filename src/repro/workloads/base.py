@@ -28,6 +28,8 @@ from repro.cpu.traces import MemAccess
 
 ARENA_BYTES = 64 * 1024 * 1024
 
+_new = tuple.__new__
+
 
 class Region:
     """A contiguous range of cache lines with a base byte address."""
@@ -69,6 +71,17 @@ class AddressSpace:
 STAGGER_REF_CORES = 16
 
 
+def access(addr: int, work: int, pc: int,
+           is_write: bool = False) -> MemAccess:
+    """One trace record: ``MemAccess(addr, is_write, work, 0, pc)``.
+
+    Built with ``tuple.__new__``: the same object the NamedTuple's
+    constructor returns, without the Python frame of its keyword
+    ``__new__``.
+    """
+    return _new(MemAccess, (addr, is_write, work, 0, pc))
+
+
 def stagger(core: int, rng: random.Random, pair_skew: int,
             scratch: Region) -> MemAccess:
     """Per-iteration start offset reproducing the Fig. 4 sharer spread.
@@ -79,7 +92,7 @@ def stagger(core: int, rng: random.Random, pair_skew: int,
     """
     spread = max(pair_skew, 1) * STAGGER_REF_CORES
     delay = rng.randrange(0, spread)
-    return MemAccess(addr=scratch.addr(core), work=delay, pc=0xFFFF)
+    return access(scratch.addr(core), delay, 0xFFFF)
 
 
 def jittered(base_work: int, rng: random.Random, spread: int = 3) -> int:
@@ -90,9 +103,15 @@ def jittered(base_work: int, rng: random.Random, spread: int = 3) -> int:
 def scan(region: Region, start: int, count: int, base_work: int,
          rng: random.Random, pc: int, stride: int = 1,
          is_write: bool = False) -> Iterator[MemAccess]:
-    """Sequentially scan ``count`` lines of a region."""
-    for i in range(count):
-        yield MemAccess(addr=region.addr(start + i * stride),
-                        is_write=is_write,
-                        work=jittered(base_work, rng), pc=pc)
+    """Sequentially scan ``count`` lines of a region.
 
+    Most of every trace's records come from here, so :func:`access`,
+    ``region.addr`` and :func:`jittered` are inlined over locals.
+    """
+    base = region.base_line
+    lines = region.lines
+    randrange = rng.randrange
+    for i in range(count):
+        yield _new(MemAccess, (
+            (base + (start + i * stride) % lines) * LINE_BYTES, is_write,
+            base_work + randrange(0, 3), 0, pc))

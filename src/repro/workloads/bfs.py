@@ -16,8 +16,8 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.cpu.traces import BARRIER, MemAccess
-from repro.workloads.base import AddressSpace, jittered, stagger
+from repro.cpu.traces import BARRIER
+from repro.workloads.base import AddressSpace, access, jittered, stagger
 
 #: pointer chasing limits memory-level parallelism
 SUGGESTED_WINDOW = 6
@@ -43,15 +43,14 @@ def build(num_cores: int, seed: int = 1, node_lines: int = 2048,
         yield stagger(core, rng, pair_skew, scratch)
         for _ in range(visits_per_core):
             node = rng.randrange(node_lines)
-            yield MemAccess(addr=nodes.addr(node),
-                            work=jittered(work, rng), pc=0xA0)
+            yield access(nodes.addr(node), jittered(work, rng), 0xA0)
             if rng.random() < hub_fraction:
                 run = rng.randrange(12, 25)  # hub node: long list
             else:
                 run = rng.randrange(1, 7)
             for i in range(run):
-                yield MemAccess(addr=adjacency.addr(node * 8 + i),
-                                work=jittered(work, rng), pc=0xA1)
+                yield access(adjacency.addr(node * 8 + i),
+                             jittered(work, rng), 0xA1)
         yield BARRIER
 
     return [trace(core) for core in range(num_cores)]

@@ -15,8 +15,8 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.cpu.traces import BARRIER, MemAccess
-from repro.workloads.base import AddressSpace, jittered, scan, stagger
+from repro.cpu.traces import BARRIER
+from repro.workloads.base import AddressSpace, access, jittered, scan, stagger
 
 
 def build(num_cores: int, seed: int = 1, input_lines: int = 768,
@@ -39,12 +39,11 @@ def build(num_cores: int, seed: int = 1, input_lines: int = 768,
             yield stagger(core, rng, pair_skew, scratch)
             yield from scan(kernels, 0, kernels.lines, work, rng, pc=0x60)
             for offset in range(window):
-                yield MemAccess(addr=tile.addr(start + offset),
-                                work=jittered(work, rng), pc=0x61)
+                yield access(tile.addr(start + offset),
+                             jittered(work, rng), 0x61)
                 if offset % 8 == 0:
-                    yield MemAccess(addr=mine.addr(offset // 8),
-                                    is_write=True,
-                                    work=jittered(work, rng), pc=0x62)
+                    yield access(mine.addr(offset // 8),
+                                 jittered(work, rng), 0x62, is_write=True)
             yield BARRIER
 
     return [trace(core) for core in range(num_cores)]

@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.cpu.traces import BARRIER, MemAccess
-from repro.workloads.base import AddressSpace, jittered, scan, stagger
+from repro.cpu.traces import BARRIER
+from repro.workloads.base import AddressSpace, access, jittered, scan, stagger
 
 
 def _blackscholes(num_cores: int, seed: int, space: AddressSpace,
@@ -86,8 +86,7 @@ def _freqmine(num_cores: int, seed: int, space: AddressSpace,
         yield stagger(core, rng, 40, scratch)
         for _ in range(600):
             node = rng.randrange(tree_lines)
-            yield MemAccess(addr=tree.addr(node),
-                            work=jittered(work, rng, 8), pc=0xB6)
+            yield access(tree.addr(node), jittered(work, rng, 8), 0xB6)
         yield BARRIER
 
     return [trace(core) for core in range(num_cores)]

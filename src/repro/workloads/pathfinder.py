@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.cpu.traces import BARRIER, MemAccess
-from repro.workloads.base import AddressSpace, jittered, scan, stagger
+from repro.cpu.traces import BARRIER
+from repro.workloads.base import AddressSpace, access, jittered, scan, stagger
 
 
 def build(num_cores: int, seed: int = 1, seg_lines: int = 24,
@@ -33,11 +33,10 @@ def build(num_cores: int, seed: int = 1, seg_lines: int = 24,
             yield stagger(core, rng, pair_skew, scratch)
             start = core * seg_lines
             # Halo reads from the neighbours' segments.
-            yield MemAccess(addr=prev.addr(start - 1),
-                            work=jittered(work, rng), pc=0x90)
+            yield access(prev.addr(start - 1), jittered(work, rng), 0x90)
             yield from scan(prev, start, seg_lines, work, rng, pc=0x91)
-            yield MemAccess(addr=prev.addr(start + seg_lines),
-                            work=jittered(work, rng), pc=0x92)
+            yield access(prev.addr(start + seg_lines),
+                         jittered(work, rng), 0x92)
             yield from scan(cur, start, seg_lines, work, rng, pc=0x93,
                             is_write=True)
             yield BARRIER

@@ -18,6 +18,7 @@ from repro.store import Store
 from repro.sim.checkpoint import (
     CKPT_SCHEMA_VERSION,
     CheckpointStore,
+    _json_chunks,
     capture_state,
     checkpoint_key,
     restore_system,
@@ -103,6 +104,15 @@ class TestBitIdentity:
             captures.append(_serialized(capture_state(
                 system, FAST["workload"], "ordpush")))
         assert captures[0] == captures[1]
+
+    def test_stored_text_is_canonical_json(self) -> None:
+        """The store's sectioned writer emits exactly ``json.dumps``."""
+        system = _fresh_system("ordpush")
+        system.run_to_quiesce(2)
+        state = capture_state(system, FAST["workload"], "ordpush")
+        text = "".join(_json_chunks(state))
+        assert text.encode("utf-8") == _serialized(state)
+        assert "".join(_json_chunks({})) == "{}"
 
     def test_capture_does_not_perturb_the_source(self) -> None:
         undisturbed = _fresh_system("ordpush")

@@ -7,11 +7,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import repro
 
-from repro.cpu.tracebuf import (TraceBuffer, TraceCache, dump_buffers,
-                                load_buffers, trace_key)
+from repro.cpu.tracebuf import (COMPILE_CHUNK, TraceBuffer, TraceCache,
+                                dump_buffers, load_buffers, trace_key)
 from repro.cpu.traces import BARRIER, MemAccess
 from repro.sim.runner import run_system, run_workload
 from repro.sim.config import make_params
@@ -49,6 +50,49 @@ class TestTraceBuffer:
             except ValueError:
                 continue
             raise AssertionError("corruption not detected")
+
+
+def _lazy_trace(n: int):
+    """``n`` records made on demand: large addresses (no small-int
+    cache), a barrier every 1000th row."""
+    for i in range(n):
+        if i % 1000 == 999:
+            yield BARRIER
+        else:
+            yield MemAccess((1 << 40) + 64 * i, i % 3 == 0, i % 11,
+                            i % 5, 0x100 + i % 7)
+
+
+class TestCompile:
+    def test_roundtrips_across_chunk_boundaries(self) -> None:
+        """Chunk boundaries (short, exact, ragged) change nothing."""
+        for n in (0, 1, COMPILE_CHUNK - 1, COMPILE_CHUNK,
+                  2 * COMPILE_CHUNK + 5):
+            records = list(_lazy_trace(n))
+            buf = TraceBuffer.compile(iter(records))
+            assert len(buf) == n
+            assert list(buf.records()) == records
+
+    def test_truthy_is_write_compiles_to_one(self) -> None:
+        buf = TraceBuffer.compile([MemAccess(0x40, is_write=7)])
+        assert list(buf.is_write) == [1]
+
+    def test_peak_memory_bounded_by_one_chunk(self) -> None:
+        """A long lazy trace never sits in memory as records: the peak
+        stays within 2x the finished columns (a whole-trace transpose
+        would hold every record object at once, several times that)."""
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            buf = TraceBuffer.compile(_lazy_trace(200_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        column_bytes = sum(
+            getattr(buf, name).buffer_info()[1] * 8
+            for name in ("addr", "is_write", "work", "insts", "pc"))
+        assert len(buf) == 200_000
+        assert peak <= 2 * column_bytes, (peak, column_bytes)
 
 
 class TestDeterminism:
