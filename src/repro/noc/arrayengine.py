@@ -18,13 +18,20 @@ construction (via :meth:`Topology.port_tables`) into dense index
 tensors: ``(router, port)`` pairs flatten to *port keys*
 ``k = router * radix + port``; each input port holds ``B = num_vnets *
 num_vc_classes`` VC buckets of ``C`` VCs, so VC slots flatten to
-``slot = (k * B + bucket) * C + vc``.  Per-slot arrays carry the
-packet record (owner index, routed output key, destination bucket at
-the next hop, flit count, traffic class, eligibility cycle) so one
-``lexsort`` picks every router's switch-allocation winner in a single
-pass.  A per-bucket free-VC count is the credit count: every install
-takes one and every slot clear returns one, so no pass recounts the
-fabric.
+``slot = (k * B + bucket) * C + vc``.  A slot holds only per-hop state:
+the packet index ``pix``, the eligibility cycle, the routed output key
+and the credit bucket it needs at the next hop.  Packet constants
+(flit count, traffic class, ``vnet * tiles + dest``, the INV/GETS/PUSH
+flags) live in arrays indexed by ``pix``, written once when the packet
+enters the registry.  A next-hop table flat over ``(router, vnet *
+tiles + dest)`` gives the out key and credit bucket of the following
+hop, so a link install is a handful of gathers.  Ejection records point
+at a sentinel credit bucket that always has credit, so the allocation
+check is one comparison per array.  The switch-allocation winner of
+every output port is picked by one ``argsort`` over a combined
+``(out key, rotating priority)`` key.  A per-bucket free-VC count is
+the credit count: every install takes one and every slot clear returns
+one, so no pass recounts the fabric.
 
 Timing model
 ------------
@@ -270,15 +277,8 @@ class ArrayNetwork:
         key_router = np.arange(keys, dtype=np.int64) // radix
         self._ll_index = (key_router << self._ll_shift) | (
             np.arange(keys, dtype=np.int64) % radix)
-        #: (vnet, router, dest tile) -> output port
-        self._route = np.asarray(
-            [np.asarray(table, dtype=np.int64)
-             for table in self.tables.by_vnet])
         attach = np.asarray(tabs["attach"], dtype=np.int64)
-        self._attach_key = attach[:, 0] * radix + attach[:, 1]
-        #: (tile, vnet) -> the local input bucket injections land in
-        self._local_bucket = (self._attach_key[:, None] * buckets
-                              + np.arange(vnets, dtype=np.int64) * classes)
+        attach_key = attach[:, 0] * radix + attach[:, 1]
         # Python-list mirrors of the static tensors: the scalar sidecars
         # (injection, multicast, event callbacks) index these far more
         # cheaply than NumPy scalar reads.
@@ -286,28 +286,61 @@ class ArrayNetwork:
         self._eject_tile_l = self._eject_tile.tolist()
         self._dateline_l = self._dateline.tolist()
         self._ll_index_l = self._ll_index.tolist()
-        self._attach_key_l = self._attach_key.tolist()
-        self._local_bucket_l = self._local_bucket.tolist()
-        self._route_l = [[list(row) for row in table]
-                         for table in self.tables.by_vnet]
+        self._attach_key_l = attach_key.tolist()
+        #: (tile, vnet) -> the local input bucket injections land in
+        self._local_bucket_l = [
+            [key * buckets + vnet * classes for vnet in range(vnets)]
+            for key in self._attach_key_l]
 
-        # ---- per-slot packet records ---------------------------------
+        # ---- credit buckets ------------------------------------------
+        #: the sentinel bucket ejection records point at: it always has
+        #: credit and nothing ever takes or returns one
+        self._eject_bucket = sentinel = keys * buckets
+        self._credit = np.full(keys * buckets + 1, depth, dtype=np.int64)
+        #: free VC slots per real bucket (the credit count), kept exact
+        #: by every install (-1) and slot clear (+1)
+        self._free_cnt = self._credit[:-1]
+
+        # ---- next-hop table --------------------------------------------
+        #: (router, vnet * tiles + dest) -> the output key a packet
+        #: takes there, and the credit bucket it needs behind that port
+        #: (the sentinel on ejection ports; on dateline fabrics the
+        #: bucket of a packet entering the link, class 0 plus dateline)
+        vt = vnets * tiles
+        route = np.asarray(self.tables.by_vnet[:vnets], dtype=np.int64)
+        self._nh_key = nh_key = (
+            np.arange(routers, dtype=np.int64)[:, None] * radix
+            + route.transpose(1, 0, 2).reshape(routers, vt)).reshape(-1)
+        nh_class = np.tile(np.repeat(
+            np.arange(vnets, dtype=np.int64) * classes, tiles), routers)
+        if classes > 1:
+            nh_class += self._dateline[nh_key]
+        self._nh_bucket = np.where(
+            self._eject_tile[nh_key] >= 0, sentinel,
+            self._down_key[nh_key] * buckets + nh_class)
+        #: port key -> the row of the next-hop table its link leads to
+        self._down_row = np.where(
+            self._down_key >= 0, self._down_key // radix * vt, -1)
+        self._vc_offsets = np.arange(depth, dtype=np.int64)
+
+        # ---- per-slot records: per-hop state only ---------------------
         never = np.int64(NEVER)
         self._s_pix = np.full(slots, -1, dtype=np.int64)
         self._s_ready = np.full(slots, never, dtype=np.int64)
         self._s_outkey = np.full(slots, -1, dtype=np.int64)
-        self._s_downbucket = np.zeros(slots, dtype=np.int64)
-        self._s_downbase = np.full(slots, -1, dtype=np.int64)
-        self._s_flits = np.zeros(slots, dtype=np.int64)
-        self._s_traffic = np.zeros(slots, dtype=np.int64)
-        self._s_dest = np.zeros(slots, dtype=np.int64)
-        self._s_vnet = np.zeros(slots, dtype=np.int64)
-        self._s_eject = np.full(slots, -1, dtype=np.int64)
-        self._s_inv = np.zeros(slots, dtype=bool)
-        self._s_gets = np.zeros(slots, dtype=bool)
-        self._s_push = np.zeros(slots, dtype=bool)
+        self._s_downbucket = np.full(slots, sentinel, dtype=np.int64)
         #: output-port busy-until cycles (switch/link serialization)
         self._p_busy = np.full(keys, -1, dtype=np.int64)
+
+        # ---- per-packet constants, indexed by pix ----------------------
+        #: written once by ``_alloc_packet``; grown by doubling
+        self._pk_flits = np.zeros(256, dtype=np.int64)
+        self._pk_traffic = np.zeros(256, dtype=np.int64)
+        #: ``vnet * num_tiles + dests[0]``: the next-hop table column
+        self._pk_vdest = np.zeros(256, dtype=np.int64)
+        self._pk_inv = np.zeros(256, dtype=bool)
+        self._pk_gets = np.zeros(256, dtype=bool)
+        self._pk_push = np.zeros(256, dtype=bool)
 
         # ---- scalar sidecar state ------------------------------------
         #: packet registry: pix -> Packet (slot arrays store indices)
@@ -315,17 +348,18 @@ class ArrayNetwork:
         self._free_pix: List[int] = []
         #: multicast residents: slot -> [ready, pix, pending, prev_out]
         self._mc: Dict[int, list] = {}
-        #: pending source-VC releases: (cycle, slot, pix_to_free)
-        self._release: List[Tuple[int, int, int]] = []
+        #: pending source-VC releases: cycle -> (slots, pixs to free),
+        #: plus a heap of those cycles
+        self._release: Dict[int, Tuple[List[int], List[int]]] = {}
+        self._release_at: List[int] = []
         #: per-tile injection queues and NI state
         self._queues: List[Tuple[deque, ...]] = [
             tuple(deque() for _ in range(vnets)) for _ in range(tiles)]
-        self._ni_busy = np.full(tiles, -1, dtype=np.int64)
-        self._q_len = np.zeros((tiles, vnets), dtype=np.int64)
+        #: tiles with a queued packet, and each tile's queued count
+        self._backlogged = set()
+        self._q_count: List[int] = [0] * tiles
+        self._ni_busy: List[int] = [-1] * tiles
         self._ni_rr: List[int] = [0] * tiles
-        #: free VC slots per bucket (the credit count), kept exact by
-        #: every install (-1) and slot clear (+1)
-        self._free_cnt = np.full(keys * buckets, depth, dtype=np.int64)
         self._vnet_orders = tuple(
             tuple((start + step) % vnets for step in range(vnets))
             for start in range(vnets))
@@ -377,8 +411,10 @@ class ArrayNetwork:
                  else params.control_packet_flits)
         now = self.scheduler.now
         packet = Packet(msg, flits, injected_at=now)
-        self._queues[msg.src][msg.vnet].append(packet)
-        self._q_len[msg.src, msg.vnet] += 1
+        src = msg.src
+        self._queues[src][msg.vnet].append(packet)
+        self._q_count[src] += 1
+        self._backlogged.add(src)
         self._backlog_total += 1
         self.inflight += len(packet.dests)
         self._c_packets_injected.value += 1
@@ -391,28 +427,45 @@ class ArrayNetwork:
     # ------------------------------------------------------------------
 
     def _alloc_packet(self, packet: Packet) -> int:
+        """Register a packet and write its constants; its index."""
         free = self._free_pix
         if free:
             pix = free.pop()
             self._pkt[pix] = packet
-            return pix
-        self._pkt.append(packet)
-        return len(self._pkt) - 1
+        else:
+            pix = len(self._pkt)
+            self._pkt.append(packet)
+            if pix == self._pk_flits.size:
+                self._grow_packets()
+        self._pk_flits[pix] = packet.flits
+        self._pk_traffic[pix] = packet.traffic_idx
+        self._pk_vdest[pix] = (packet.vnet * self._num_tiles
+                               + packet.dests[0])
+        msg_type = packet.msg_type
+        self._pk_inv[pix] = msg_type is _INV
+        self._pk_gets[pix] = msg_type is _GETS
+        self._pk_push[pix] = msg_type is _PUSH
+        return pix
+
+    def _grow_packets(self) -> None:
+        """Double the per-packet arrays (the registry outgrew them)."""
+        for name in ("_pk_flits", "_pk_traffic", "_pk_vdest", "_pk_inv",
+                     "_pk_gets", "_pk_push"):
+            old = getattr(self, name)
+            new = np.zeros(2 * old.size, dtype=old.dtype)
+            new[:old.size] = old
+            setattr(self, name, new)
 
     def _free_packet(self, pix: int) -> None:
         self._pkt[pix] = None
         self._free_pix.append(pix)
 
     def _clear_slot(self, slot: int) -> None:
+        # An empty slot is never a candidate, so its other fields may
+        # stay stale until the next install overwrites them.
         self._free_cnt[slot // self._vcs_per_bucket] += 1
         self._s_pix[slot] = -1
         self._s_ready[slot] = NEVER
-        self._s_outkey[slot] = -1
-        self._s_downbucket[slot] = 0
-        self._s_downbase[slot] = -1
-        self._s_inv[slot] = False
-        self._s_gets[slot] = False
-        self._s_push[slot] = False
 
     def _clear_slots(self, slots) -> None:
         """Bulk form of :meth:`_clear_slot` (list or index array)."""
@@ -422,12 +475,14 @@ class ArrayNetwork:
         np.add.at(self._free_cnt, slots // self._vcs_per_bucket, 1)
         self._s_pix[slots] = -1
         self._s_ready[slots] = NEVER
-        self._s_outkey[slots] = -1
-        self._s_downbucket[slots] = 0
-        self._s_downbase[slots] = -1
-        self._s_inv[slots] = False
-        self._s_gets[slots] = False
-        self._s_push[slots] = False
+
+    def _release_group(self, cycle: int) -> Tuple[List[int], List[int]]:
+        """The (slots, pixs) lists of tail releases due at ``cycle``."""
+        group = self._release.get(cycle)
+        if group is None:
+            group = self._release[cycle] = ([], [])
+            heappush(self._release_at, cycle)
+        return group
 
     def _drop_request(self, slot: int) -> None:
         """Consume a filtered GETS: free its VC slot and its packet."""
@@ -482,6 +537,10 @@ class ArrayNetwork:
         for slot in range(base, base + depth):
             if s_pix[slot] < 0:
                 break
+        else:
+            raise SimulationError(
+                f"VC bucket {bucket_key} counts {count} free slot(s) "
+                f"but every slot is occupied")
         free_cnt[bucket_key] = count - 1
         return slot
 
@@ -492,7 +551,7 @@ class ArrayNetwork:
         Returns the ``(port, dests)`` pairs the packet will compete for
         at the new router (used for push filter registration).  A
         multicast packet becomes a scalar-tracked resident; a unicast
-        packet gets full vector fields.
+        packet gets the per-hop vector fields.
         """
         radix = self._radix
         router = key // radix
@@ -505,21 +564,13 @@ class ArrayNetwork:
             self._s_ready[slot] = NEVER
             self._mc[slot] = [ready, pix, list(ports), prev_out]
             return ports
-        dest = dests[0]
         vnet = packet.vnet
-        out = self._route_l[vnet][router][dest]
+        out = self.tables.by_vnet[vnet][router][dests[0]]
         out_key = router * radix + out
         self._s_ready[slot] = ready
         self._s_outkey[slot] = out_key
-        self._s_flits[slot] = packet.flits
-        self._s_traffic[slot] = packet.traffic_idx
-        self._s_dest[slot] = dest
-        self._s_vnet[slot] = vnet
-        eject = self._eject_tile_l[out_key]
-        self._s_eject[slot] = eject
-        if eject >= 0:
-            self._s_downbucket[slot] = 0
-            self._s_downbase[slot] = -1
+        if self._eject_tile_l[out_key] >= 0:
+            self._s_downbucket[slot] = self._eject_bucket
         else:
             if self._num_classes > 1:
                 here = (slot // self._vcs_per_bucket) % \
@@ -528,14 +579,8 @@ class ArrayNetwork:
                 nxt += self._dateline_l[out_key]
             else:
                 nxt = vnet
-            down_bucket = self._down_key_l[out_key] * \
+            self._s_downbucket[slot] = self._down_key_l[out_key] * \
                 self._buckets_per_port + nxt
-            self._s_downbucket[slot] = down_bucket
-            self._s_downbase[slot] = down_bucket * self._vcs_per_bucket
-        self._s_inv[slot] = packet.msg_type is _INV
-        self._s_gets[slot] = packet.msg_type is _GETS
-        self._s_push[slot] = (self._push_tracking
-                              and packet.msg_type is _PUSH)
         return ((out, dests),)
 
     def _schedule_eject(self, tile: int, pix: int, packet: Packet,
@@ -556,21 +601,18 @@ class ArrayNetwork:
     def _inject_pass(self, cycle: int) -> None:
         """One injection attempt per idle, backlogged tile (NI model).
 
-        The shortlist is computed vectorized — only tiles that are not
-        serializing a previous packet AND have a backlogged vnet with a
-        free VC in its local bucket enter the scalar round-robin loop —
-        so a saturated fabric with no endpoint credits costs a handful
-        of array operations, not a walk over every tile.
+        Walks only the tiles with a queued packet, in tile order; each
+        tile's own local buckets are the only credits its injection
+        reads or takes, so the order never changes an outcome.
         """
-        can = ((self._q_len > 0)
-               & (self._free_cnt[self._local_bucket] > 0)).any(axis=1)
-        can &= self._ni_busy < cycle
-        tiles = np.flatnonzero(can)
-        if not tiles.size:
-            return
         latency = self._link_latency
         ordered = self.ordered_pushes
-        for tile in tiles.tolist():
+        ni_busy = self._ni_busy
+        q_count = self._q_count
+        backlogged = self._backlogged
+        for tile in sorted(backlogged):
+            if ni_busy[tile] >= cycle:
+                continue
             queues = self._queues[tile]
             key = self._attach_key_l[tile]
             buckets = self._local_bucket_l[tile]
@@ -585,12 +627,14 @@ class ArrayNetwork:
                 if slot < 0:
                     continue
                 packet = queue.popleft()
-                self._q_len[tile, vnet] -= 1
                 self._backlog_total -= 1
+                q_count[tile] -= 1
+                if not q_count[tile]:
+                    backlogged.discard(tile)
                 pix = self._alloc_packet(packet)
                 ports = self._install(
                     slot, pix, packet, key, cycle + latency + 1, -1)
-                self._ni_busy[tile] = cycle + packet.flits - 1
+                ni_busy[tile] = cycle + packet.flits - 1
                 arrival = cycle + latency
                 if self._push_tracking and packet.msg_type is _PUSH:
                     self.scheduler.at(arrival, _Register(
@@ -693,7 +737,9 @@ class ArrayNetwork:
                 self._clear_slot(slot)
                 self._free_packet(pix)
             else:
-                heappush(self._release, (cycle + flits - 1, slot, pix))
+                slots, pixs = self._release_group(cycle + flits - 1)
+                slots.append(slot)
+                pixs.append(pix)
 
     def _allocate_pass(self, cycle: int) -> None:
         """Vectorized switch allocation over every unicast candidate."""
@@ -702,19 +748,19 @@ class ArrayNetwork:
         if not cand.size:
             return
         out_keys = self._s_outkey[cand]
-        down_bucket = self._s_downbucket[cand]
-        # Port free + downstream credit (ejections always accept).  The
-        # free counts already reflect this cycle's releases and its
-        # injection and multicast claims; the short-winner clears at the
-        # end of this pass only show from the next cycle on.
+        # Port free + downstream credit (ejection records point at the
+        # sentinel bucket, which always has credit).  The free counts
+        # already reflect this cycle's releases and its injection and
+        # multicast claims; the short-winner clears at the end of this
+        # pass only show from the next cycle on.
         valid = (self._p_busy[out_keys] < cycle) & (
-            (self._s_downbase[cand] < 0)
-            | (self._free_cnt[down_bucket] > 0))
+            self._credit[self._s_downbucket[cand]] > 0)
         if self.ordered_pushes:
-            stall = valid & self._s_inv[cand] & (
+            cand_pix = self._s_pix[cand]
+            stall = valid & self._pk_inv[cand_pix] & (
                 self._fcount[out_keys] > 0)
             for pos in np.nonzero(stall)[0]:
-                packet = self._pkt[int(self._s_pix[cand[pos]])]
+                packet = self._pkt[int(cand_pix[pos])]
                 if self.filters[int(out_keys[pos])].has_line(
                         packet.line_addr):
                     valid[pos] = False
@@ -735,115 +781,119 @@ class ArrayNetwork:
         first[1:] = sorted_keys[1:] != sorted_keys[:-1]
         winners = cand[order[first]]
         win_keys = sorted_keys[first]
-        flits = self._s_flits[winners]
+        pixs = self._s_pix[winners]
+        flits = self._pk_flits[pixs]
         self._p_busy[win_keys] = cycle + flits - 1
         # win_keys are unique (one grant per port), so a plain fancy add
         # is safe; traffic classes repeat, so that one stays add.at.
         self._link_load[self._ll_index[win_keys]] += flits
-        np.add.at(self._traffic_flits, self._s_traffic[winners], flits)
+        np.add.at(self._traffic_flits, self._pk_traffic[pixs], flits)
         self._last_progress = cycle
 
         latency = self._link_latency
-        eject_mask = self._s_downbase[winners] < 0
+        eject_tiles = self._eject_tile[win_keys]
+        eject_mask = eject_tiles >= 0
         # Ejection winners join their (cycle, tile) burst.  A granted
         # push deregisters from its (eject) port's filter exactly like a
         # link grant would.
-        ew = winners[eject_mask]
-        if ew.size:
-            for pix, tile, length, is_push, key in zip(
-                    self._s_pix[ew].tolist(), self._s_eject[ew].tolist(),
-                    self._s_flits[ew].tolist(), self._s_push[ew].tolist(),
-                    win_keys[eject_mask].tolist()):
-                packet = self._pkt[pix]
-                if is_push:
+        eject_pixs = pixs[eject_mask]
+        if eject_pixs.size:
+            pkt = self._pkt
+            for pix, tile, key in zip(eject_pixs.tolist(),
+                                      eject_tiles[eject_mask].tolist(),
+                                      win_keys[eject_mask].tolist()):
+                packet = pkt[pix]
+                length = packet.flits
+                if self._push_tracking and packet.msg_type is _PUSH:
                     self.scheduler.at(
                         cycle + length - 1 + latency, _Deregister(
                             self, key, packet.pid, packet.line_addr))
                 self._schedule_eject(tile, pix, packet,
                                      cycle + latency + length)
         # Link winners: install every record downstream in one shot.
-        link = winners[~eject_mask]
-        if link.size:
-            self._install_links(link, win_keys[~eject_mask], cycle)
+        link = ~eject_mask
+        link_slots = winners[link]
+        if link_slots.size:
+            self._install_links(link_slots, win_keys[link], pixs[link],
+                                cycle)
         # Retire the source VCs: single-flit packets free at once (the
         # credit shows next cycle), longer packets drain until the tail.
         s_ready[winners] = NEVER
         short = flits == 1
-        long_slots = winners[~short]
+        long = ~short
+        long_slots = winners[long]
         if long_slots.size:
+            last = 0
             for slot, length in zip(long_slots.tolist(),
-                                    flits[~short].tolist()):
-                heappush(self._release, (cycle + length - 1, slot, -1))
+                                    flits[long].tolist()):
+                if length != last:
+                    group = self._release_group(cycle + length - 1)[0]
+                    last = length
+                group.append(slot)
         short_slots = winners[short]
         if short_slots.size:
             self._clear_slots(short_slots)
 
-    def _install_links(self, src, keys, cycle: int) -> None:
-        """Vectorized pre-install of link winners at their next routers."""
-        radix = self._radix
-        buckets = self._buckets_per_port
-        depth = self._vcs_per_bucket
+    def _install_links(self, src, keys, pixs, cycle: int) -> None:
+        """Vectorized pre-install of link winners at their next routers.
+
+        ``src`` are the winners' slots, ``keys`` their output keys and
+        ``pixs`` their packet indices.
+        """
         down_bucket = self._s_downbucket[src]
-        base = down_bucket * depth
+        base = down_bucket * self._vcs_per_bucket
         # First free VC of each destination bucket (credit-checked, and
         # each bucket is fed by exactly one upstream port, so at most
         # one install lands per bucket per cycle and the plain fancy
         # decrement below is exact).
-        block = self._s_pix[base[:, None] + np.arange(depth)]
+        block = self._s_pix[base[:, None] + self._vc_offsets]
         new_slots = base + (block < 0).argmax(axis=1)
         self._free_cnt[down_bucket] -= 1
-        dest = self._s_dest[src]
-        vnet = self._s_vnet[src]
-        down_key = self._down_key[keys]
-        router2 = down_key // radix
-        out2 = self._route[vnet, router2, dest]
-        key2 = router2 * radix + out2
-        eject2 = self._eject_tile[key2]
-        is_eject = eject2 >= 0
+        vdest = self._pk_vdest[pixs]
+        row = self._down_row[keys] + vdest
+        key2 = self._nh_key[row]
         if self._num_classes > 1:
-            keep = (keys % radix) == out2
+            # Dateline fabrics: a packet that keeps to its ring keeps
+            # its VC class, one that turns restarts at class 0, and a
+            # dateline link bumps the class.
+            radix = self._radix
+            buckets = self._buckets_per_port
+            keep = (keys % radix) == (key2 % radix)
             bucket2 = np.where(keep, down_bucket % buckets,
-                               vnet * self._num_classes)
+                               vdest // self._num_tiles * self._num_classes)
             bucket2 = bucket2 + self._dateline[key2]
+            down_bucket2 = np.where(
+                self._eject_tile[key2] >= 0, self._eject_bucket,
+                self._down_key[key2] * buckets + bucket2)
         else:
-            bucket2 = vnet
-        down_bucket2 = np.where(
-            is_eject, 0, self._down_key[key2] * buckets + bucket2)
-        self._s_pix[new_slots] = self._s_pix[src]
+            down_bucket2 = self._nh_bucket[row]
+        self._s_pix[new_slots] = pixs
         self._s_ready[new_slots] = cycle + self._link_latency + 2
         self._s_outkey[new_slots] = key2
         self._s_downbucket[new_slots] = down_bucket2
-        self._s_downbase[new_slots] = np.where(
-            is_eject, -1, down_bucket2 * depth)
-        self._s_flits[new_slots] = self._s_flits[src]
-        self._s_traffic[new_slots] = self._s_traffic[src]
-        self._s_dest[new_slots] = dest
-        self._s_vnet[new_slots] = vnet
-        self._s_eject[new_slots] = np.where(is_eject, eject2, -1)
-        self._s_inv[new_slots] = self._s_inv[src]
-        self._s_gets[new_slots] = self._s_gets[src]
-        self._s_push[new_slots] = self._s_push[src]
         # Scalar sidecars for the rare flagged records.
         arrival = cycle + 1 + self._link_latency
         if self._push_tracking:
-            for pos in np.nonzero(self._s_push[src])[0]:
-                slot = int(new_slots[pos])
-                packet = self._pkt[int(self._s_pix[slot])]
+            radix = self._radix
+            for pos in np.nonzero(self._pk_push[pixs])[0]:
+                packet = self._pkt[int(pixs[pos])]
+                out_key = int(key2[pos])
                 self.scheduler.at(
                     cycle + packet.flits - 1 + self._link_latency,
                     _Deregister(self, int(keys[pos]), packet.pid,
                                 packet.line_addr))
                 self.scheduler.at(arrival, _Register(
-                    self, int(router2[pos]),
-                    ((int(out2[pos]), packet.dests),),
+                    self, out_key // radix,
+                    ((out_key % radix, packet.dests),),
                     packet.pid, packet.line_addr))
         if self.filter_enabled:
-            gets = self._s_gets[src] & (self._fcount[down_key] > 0)
+            down_key = self._down_key[keys]
+            gets = self._pk_gets[pixs] & (self._fcount[down_key] > 0)
             for pos in np.nonzero(gets)[0]:
-                slot = int(new_slots[pos])
-                pix = int(self._s_pix[slot])
+                pix = int(pixs[pos])
                 self.scheduler.at(arrival, _Lookup(
-                    self, slot, pix, self._pkt[pix], int(down_key[pos])))
+                    self, int(new_slots[pos]), pix, self._pkt[pix],
+                    int(down_key[pos])))
 
     # ------------------------------------------------------------------
     # simulation loop
@@ -861,15 +911,12 @@ class ArrayNetwork:
 
     def tick(self, cycle: int) -> None:
         if cycle >= self._next_work:
-            release = self._release
-            if release and release[0][0] <= cycle:
-                due = []
-                while release and release[0][0] <= cycle:
-                    _, slot, pix = heappop(release)
-                    due.append(slot)
-                    if pix >= 0:
-                        self._free_packet(pix)
-                self._clear_slots(due)
+            release_at = self._release_at
+            while release_at and release_at[0] <= cycle:
+                slots, pixs = self._release.pop(heappop(release_at))
+                self._clear_slots(slots)
+                for pix in pixs:
+                    self._free_packet(pix)
             if self._backlog_total:
                 self._inject_pass(cycle)
             if self._mc:
@@ -881,8 +928,8 @@ class ArrayNetwork:
             # next tail-release, or the very next cycle while endpoint
             # queues or multicast residents still hold work.
             nxt = int(self._s_ready.min())
-            if release and release[0][0] < nxt:
-                nxt = release[0][0]
+            if release_at and release_at[0] < nxt:
+                nxt = release_at[0]
             if (self._backlog_total or self._mc) and cycle + 1 < nxt:
                 nxt = cycle + 1
             self._next_work = nxt

@@ -199,6 +199,138 @@ class TestCreditCounts:
         assert result.requests_filtered > 0
 
 
+#: 16-tile grid per fabric for the bookkeeping checks below
+SMALL_FABRICS = {
+    "mesh": (dict(rows=4, cols=4), 0.3),
+    "torus": (dict(rows=4, cols=4, topology="torus"), 0.3),
+    "ring": (dict(rows=4, cols=4, topology="ring"), 0.15),
+    "cmesh": (dict(rows=4, cols=4, topology="cmesh"), 0.3),
+}
+
+
+class TestPacketRecords:
+    """Per-packet constants and per-hop slot fields stay in step.
+
+    A slot holds only per-hop state; everything else is read through
+    its ``pix`` from arrays written once per packet.  After every tick,
+    every occupied unicast slot must point at arrays that match its live
+    ``Packet``, and its credit bucket must be the ejection sentinel
+    exactly when its routed output is an ejection port.  The mesh run's
+    registry outgrows the initial per-packet arrays, so the check also
+    spans a growth.
+    """
+
+    @staticmethod
+    def _check(net) -> None:
+        tiles = net._num_tiles
+        sentinel = net._eject_bucket
+        assert net._credit[sentinel] == net._vcs_per_bucket
+        for slot in (net._s_pix >= 0).nonzero()[0].tolist():
+            out_key = int(net._s_outkey[slot])
+            if out_key == -2:
+                continue  # a multicast resident, or one draining its tail
+            pix = int(net._s_pix[slot])
+            packet = net._pkt[pix]
+            assert len(packet.dests) == 1, packet
+            assert net._pk_flits[pix] == packet.flits
+            assert net._pk_traffic[pix] == packet.traffic_idx
+            assert net._pk_vdest[pix] == \
+                packet.vnet * tiles + packet.dests[0]
+            assert net._pk_inv[pix] == (packet.msg_type is MsgType.INV)
+            assert net._pk_gets[pix] == (packet.msg_type is MsgType.GETS)
+            assert net._pk_push[pix] == (packet.msg_type is MsgType.PUSH)
+            ejects = net._eject_tile_l[out_key] >= 0
+            assert (net._s_downbucket[slot] == sentinel) == ejects, slot
+
+    @pytest.mark.parametrize("fabric", sorted(SMALL_FABRICS))
+    def test_records_match_live_packets(self, fabric: str,
+                                        monkeypatch) -> None:
+        ticks = []
+        tick = ArrayNetwork.tick
+
+        def checked(net, cycle):
+            tick(net, cycle)
+            self._check(net)
+            ticks.append(cycle)
+
+        monkeypatch.setattr(ArrayNetwork, "tick", checked)
+        grid, rate = SMALL_FABRICS[fabric]
+        net, scheduler = _build("array", NoCParams(**grid))
+        _drive(net, scheduler, 16, rate, horizon=150, seed=3,
+               mc_frac=0.25)
+        assert ticks and not net.active
+        if fabric == "mesh":
+            assert len(net._pkt) > 256  # past the initial array size
+        # nothing ever took or returned the sentinel's credit
+        assert net._credit[net._eject_bucket] == net._vcs_per_bucket
+        assert (net._free_cnt == net._vcs_per_bucket).all()
+
+
+class TestNextHopTable:
+    """The next-hop table equals a recomputation from the routing
+    tables and the topology's port graph."""
+
+    @staticmethod
+    def _check(net) -> None:
+        topo = net.topology
+        tabs = topo.port_tables()
+        radix = topo.radix
+        tiles = net._num_tiles
+        buckets = net._buckets_per_port
+        classes = net._num_classes
+        checked = 0
+        for vnet in range(net._num_vnets):
+            table = net.tables.by_vnet[vnet]
+            for router in range(topo.num_routers):
+                for dest in range(tiles):
+                    port = table[router][dest]
+                    row = (router * net._num_vnets + vnet) * tiles + dest
+                    assert net._nh_key[row] == router * radix + port
+                    if tabs["eject_tile"][router][port] >= 0:
+                        want = net._eject_bucket
+                    else:
+                        nbr = (tabs["neighbor_router"][router][port] * radix
+                               + tabs["neighbor_port"][router][port])
+                        want = nbr * buckets + vnet * classes
+                        if classes > 1:
+                            want += tabs["dateline"][router][port]
+                    assert net._nh_bucket[row] == want, (router, vnet, dest)
+                    checked += 1
+        assert checked == net._nh_key.size == net._nh_bucket.size
+        # every link leads to its downstream router's table row
+        for router in range(topo.num_routers):
+            for port in range(radix):
+                nbr = tabs["neighbor_router"][router][port]
+                if nbr >= 0:
+                    assert net._down_row[router * radix + port] == \
+                        nbr * net._num_vnets * tiles
+
+    @pytest.mark.parametrize("fabric", sorted(SMALL_FABRICS))
+    def test_table_matches_routing_16c(self, fabric: str) -> None:
+        grid, _ = SMALL_FABRICS[fabric]
+        self._check(ArrayNetwork(NoCParams(**grid), Scheduler()))
+
+    def test_table_matches_routing_64c_mesh(self) -> None:
+        grid, _ = FABRICS["mesh"]
+        self._check(ArrayNetwork(NoCParams(**grid), Scheduler()))
+
+
+class TestTakeFreeVC:
+    def test_count_mismatch_raises(self) -> None:
+        """A full bucket hands out no slot; a count that claims credit
+        for it fails loudly instead of handing out a live slot."""
+        net, _ = _build("array", NoCParams(rows=4, cols=4))
+        bucket = net._local_bucket_l[5][1]
+        for _ in range(net._vcs_per_bucket):
+            slot = net._take_free_vc(bucket)
+            assert slot // net._vcs_per_bucket == bucket
+            net._s_pix[slot] = 0
+        assert net._take_free_vc(bucket) == -1
+        net._free_cnt[bucket] = 1
+        with pytest.raises(SimulationError, match="occupied"):
+            net._take_free_vc(bucket)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end golden matrix (full coherence stack at 16 cores)
 # ---------------------------------------------------------------------------
