@@ -274,8 +274,8 @@ def test_sweep_speedup_over_serial() -> None:
     (figure scripts), each submitting the full grid plus a re-read of
     the baseline normalization column.  The serial leg simulates every
     submission; the executor dedups within a pass, streams commits to
-    the result cache so later passes are pure hits, and schedules the
-    one uncached pass longest-expected-first over the worker budget
+    the result cache so later passes are pure hits, and spreads the
+    one uncached pass over the worker budget in submission order
     (capped at the machine's cores — oversubscription is counted
     against it, not excused).
 

@@ -501,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bypass the on-disk result cache")
     sweep_p.add_argument("--progress", action="store_true",
                          help="print one line per completed point: "
-                              "cache hit or wall seconds, plus the "
-                              "cost model's remaining-work ETA")
+                              "cache hit or wall seconds, plus a "
+                              "remaining-work ETA from the mean wall "
+                              "of the points run so far")
     sweep_p.add_argument("--out", default=None,
                          help="write result records to this JSON file")
     sweep_p.add_argument("--topologies", nargs="+", default=None,

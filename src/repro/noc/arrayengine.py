@@ -244,7 +244,6 @@ class ArrayNetwork:
         self.ordered_pushes = ordered_pushes
         self._push_tracking = filter_enabled or ordered_pushes
         self.topology = build_topology(params)
-        self.mesh = self.topology
         self.tables = RoutingTables(self.topology)
         topo = self.topology
 

@@ -71,9 +71,6 @@ class Network:
         #: registration happens whenever either switch is on.
         self.ordered_pushes = ordered_pushes
         self.topology: Topology = build_topology(params)
-        #: historical alias for the fabric object (a Mesh by default);
-        #: prefer ``topology`` in new code.
-        self.mesh = self.topology
         #: per-router stride (in bits) of the flat link-load array —
         #: the smallest power-of-two span holding the fabric's radix
         #: (3 for the 5-port mesh, preserving the historical layout).

@@ -11,8 +11,8 @@ existing machinery:
   (``warmup_barriers + i*stride``), each capped at ``sample_cycles``
   post-restore cycles (the deterministic ``stop_at`` cut in
   :meth:`System.run`).  Each region is an ordinary
-  :class:`~repro.sim.sweep.SweepPoint`, so the PR 9 executor schedules
-  regions longest-expected-first across workers, the worker checkpoint
+  :class:`~repro.sim.sweep.SweepPoint`, so the sweep executor spreads
+  regions across workers in warm-affinity chunks, the worker checkpoint
   memo amortizes image restores, and every region result lands in the
   content-addressed result store individually — re-running a sampled
   point is all cache hits.

@@ -1,4 +1,4 @@
-"""Dependency-aware parallel sweep execution with streaming commits.
+"""Parallel sweep execution with streaming commits.
 
 Every figure in the paper is a sweep over independent
 ``(workload, config, num_cores, seed)`` simulation points, so the sweep
@@ -17,16 +17,14 @@ engine exploits the structure those grids share:
   in-process memo of parsed snapshots (and compiled trace buffers),
   instead of every worker re-gunzipping the same multi-megabyte
   checkpoint per point;
-* a missing warm image becomes its own task that unblocks only the
-  chunks depending on it — independent points start immediately
-  instead of barriering behind every warm build;
-* uncached points dispatch **longest-expected-first** using historical
-  wall seconds from the result index (each committed result records
-  its wall time in the entry's metadata), which keeps a straggler from
-  landing last on an otherwise-drained pool;
-* completed results **stream back and commit incrementally**, so an
-  interrupted sweep resumes from the points already committed instead
-  of losing everything.
+* a warm group too big for one worker's share of the points is cut
+  into chunks, and a missing image it needs becomes its own build
+  task that unblocks only those chunks — independent points start
+  immediately instead of barriering behind every warm build;
+* chunks dispatch in submission order, and completed results
+  **stream back and commit incrementally**, so an interrupted sweep
+  resumes from the points already committed instead of losing
+  everything.
 
 Cache key
 ---------
@@ -40,10 +38,6 @@ A point's key is the SHA-256 of a canonical JSON document containing:
 * ``max_cycles``; and
 * :data:`~repro.store.RESULT_SCHEMA_VERSION` — bump it whenever
   simulator semantics change so stale results can never be replayed.
-
-The **cost key** is the same document with the seed blanked: seeds
-perturb a run without changing its scale, so all seed replicas of a
-configuration share one historical-cost profile.
 
 Results round-trip through :meth:`SimResult.to_dict` / ``from_dict``
 as JSON payloads in the unified content-addressed store
@@ -88,13 +82,8 @@ from repro.sim.results import SimResult
 from repro.store import RESULT_SCHEMA_VERSION, Store, cache_disabled, cache_root
 
 #: Hard cap on points per scheduled chunk: keeps one straggling chunk
-#: from serializing a large warm-affinity group even when the cost
-#: model undershoots.
+#: from serializing a large warm-affinity group.
 _CHUNK_CAP = 16
-
-#: Cap on result-index entries scanned when loading the cost model; a
-#: long-lived store can hold far more history than scheduling needs.
-_COST_SCAN_CAP = 4096
 
 #: Parsed warm snapshots kept per worker (each can be tens of MB).
 _CKPT_MEMO_LIMIT = 4
@@ -211,22 +200,11 @@ def _point_spec(point: SweepPoint) -> Dict:
     }
 
 
-def _hash_spec(spec: Dict) -> str:
-    canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"),
-                           default=repr)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def point_key(point: SweepPoint) -> str:
     """Stable content hash of everything that determines the result."""
-    return _hash_spec(_point_spec(point))
-
-
-def cost_key(point: SweepPoint, spec: Optional[Dict] = None) -> str:
-    """The point's cost-profile key: the point key with the seed
-    blanked, so seed replicas share one historical wall-time profile."""
-    spec = _point_spec(point) if spec is None else spec
-    return _hash_spec({**spec, "workload": {**spec["workload"], "seed": None}})
+    canonical = json.dumps(_point_spec(point), sort_keys=True,
+                           separators=(",", ":"), default=repr)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -280,27 +258,14 @@ class ResultCache:
         self.misses += 1
         return None
 
-    def put(self, key: str, result: SimResult,
-            wall: Optional[float] = None,
-            cost: Optional[str] = None) -> None:
-        """Persist a result (atomic object + index-entry writes).
-
-        ``wall`` (seconds the simulation took) and ``cost`` (the
-        point's :func:`cost_key`) land in the index entry's metadata —
-        the executor's scheduling history — never in the result
-        payload, which stays bit-identical to the simulator's output.
-        """
+    def put(self, key: str, result: SimResult) -> None:
+        """Persist a result (atomic object + index-entry writes)."""
         store = self._store()
         if store is None:
             return
         payload = json.dumps(result.to_dict(),
                              sort_keys=True).encode("utf-8")
-        meta = None
-        if wall is not None:
-            meta = {"wall": round(wall, 4)}
-            if cost is not None:
-                meta["cost"] = cost
-        store.set("results", key, payload, meta=meta)
+        store.set("results", key, payload)
 
     def clear(self) -> int:
         """Delete every cached entry; returns the number removed."""
@@ -314,65 +279,6 @@ def _resolve_cache(cache) -> Optional[ResultCache]:
     if cache is True:
         return ResultCache()
     return cache
-
-
-# ---------------------------------------------------------------------------
-# the cost model
-# ---------------------------------------------------------------------------
-
-class CostModel:
-    """Expected wall seconds per cost profile, from committed history.
-
-    Loaded by scanning the result index's entry metadata (``wall`` and
-    ``cost`` fields stamped by :meth:`ResultCache.put`) — no result
-    payloads are read.  Profiles with no history estimate as None and
-    are dispatched first (an unknown point is the riskiest straggler);
-    ETAs for them fall back to the mean over everything observed.
-    """
-
-    def __init__(self) -> None:
-        self._sum: Dict[str, float] = {}
-        self._count: Dict[str, int] = {}
-        self._total = 0.0
-        self._observations = 0
-
-    @classmethod
-    def load(cls, store: Optional[ResultCache]) -> "CostModel":
-        model = cls()
-        disk = store._store() if store is not None else None
-        if disk is None:
-            return model
-        scanned = 0
-        for _, entry in disk.entries("results"):
-            wall, cost = entry.get("wall"), entry.get("cost")
-            if isinstance(wall, (int, float)) and wall >= 0 \
-                    and isinstance(cost, str):
-                model.observe(cost, float(wall))
-            scanned += 1
-            if scanned >= _COST_SCAN_CAP:
-                break
-        return model
-
-    def observe(self, cost: str, wall: float) -> None:
-        self._sum[cost] = self._sum.get(cost, 0.0) + wall
-        self._count[cost] = self._count.get(cost, 0) + 1
-        self._total += wall
-        self._observations += 1
-
-    def estimate(self, cost: str) -> Optional[float]:
-        """Mean observed wall seconds for a profile, or None."""
-        count = self._count.get(cost)
-        return self._sum[cost] / count if count else None
-
-    def expected(self, cost: str) -> float:
-        """Always-finite estimate: profile mean, else global mean,
-        else one second."""
-        known = self.estimate(cost)
-        if known is not None:
-            return known
-        if self._observations:
-            return self._total / self._observations
-        return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -456,19 +362,12 @@ def _simulate(point: SweepPoint) -> Dict:
     return result.to_dict()
 
 
-def _execute_point(point: SweepPoint) -> Dict:
-    """Simulate one point, returning a picklable dict."""
-    _assert_parked()
-    return _simulate(point)
-
-
 def _execute_chunk(points: List[SweepPoint]
                    ) -> Tuple[List[Dict], List[float], int]:
     """Worker entry: simulate a chunk of points back to back.
 
-    Returns the result dicts, per-point wall seconds (the cost model's
-    training data), and how many warm restores the chunk served from
-    this worker's snapshot memo.
+    Returns the result dicts, per-point wall seconds, and how many warm
+    restores the chunk served from this worker's snapshot memo.
     """
     _assert_parked()
     memo = _worker_ckpt_store()
@@ -526,17 +425,7 @@ def _prepare_checkpoint(point: SweepPoint) -> float:
 
 def run_point(point: SweepPoint, cache=None) -> SimResult:
     """Run (or fetch) one point through the result cache."""
-    store = _resolve_cache(cache)
-    if store is None:
-        return SimResult.from_dict(_execute_point(point))
-    key = point_key(point)
-    result = store.get(key)
-    if result is None:
-        start = time.perf_counter()
-        result = SimResult.from_dict(_execute_point(point))
-        store.put(key, result, wall=time.perf_counter() - start,
-                  cost=cost_key(point))
-    return result
+    return run_sweep([point], jobs=1, cache=cache)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -606,66 +495,41 @@ def _effective_workers(jobs: Optional[int], tasks: int) -> int:
 # planning
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Chunk:
-    """A schedulable batch of points bound to one worker task."""
+#: (result key, point) pairs, submission order preserved
+_Items = List[Tuple[str, SweepPoint]]
 
-    #: (result key, point) pairs, submission order preserved
-    items: List[Tuple[str, SweepPoint]]
-    #: warm-state image the chunk restores from (None = cold points)
-    warm_key: Optional[str]
-    #: summed expected wall seconds (the LPT priority)
-    expected: float
-    #: points with no historical cost profile (scheduled first)
-    unknown: int
+#: planned chunks: (warm-image key or None, items) per worker task
+_Planned = List[Tuple[Optional[str], _Items]]
 
 
-def _plan(pending: List[Tuple[str, SweepPoint]],
-          cost_of: Dict[str, str], model: CostModel,
-          workers: int) -> Tuple[Dict[str, SweepPoint], List[_Chunk]]:
+def _plan(pending: _Items, workers: int
+          ) -> Tuple[Dict[str, SweepPoint], _Planned]:
     """Carve pending points into warm-affinity chunks plus warm builds.
 
     Points sharing a ``_warm_checkpoint_key`` form a group: one worker
-    restoring the image once serves the group from its memo.  A group
-    whose expected cost exceeds an even per-worker share is split into
-    chunks so it cannot serialize the sweep; when that spreads one
-    *missing* image across workers, the build becomes its own task
-    (returned in ``builds``) and the group's chunks are scheduled only
-    after it lands — everything else starts immediately.  Chunks come
-    back longest-expected-first, unknown-cost profiles ahead of known
-    ones.
+    restoring the image once serves the group from its memo.  Each
+    group is cut into slices of one worker's share of the points
+    (capped at :data:`_CHUNK_CAP`) so it cannot serialize the sweep;
+    when that spreads one *missing* image across chunks, the build
+    becomes its own task (returned in ``builds``) and the group's
+    chunks are scheduled only after it lands — everything else starts
+    immediately.  Chunks are ``(warm_key, items)`` pairs in submission
+    order (``warm_key`` None for cold points).
     """
-    groups: "OrderedDict[object, List[Tuple[str, SweepPoint]]]" = OrderedDict()
+    groups: "OrderedDict[object, _Items]" = OrderedDict()
     for key, point in pending:
         warm = _warm_checkpoint_key(point)
         groups.setdefault(warm if warm is not None else ("cold", key),
                           []).append((key, point))
 
-    expected = {key: model.expected(cost_of[key]) for key, _ in pending}
-    total = sum(expected.values())
-    share = max(total / max(workers, 1),
-                max(expected.values(), default=1.0))
-
+    size = min(_CHUNK_CAP, max(1, len(pending) // workers))
     builds: Dict[str, SweepPoint] = {}
-    chunks: List[_Chunk] = []
+    chunks: _Planned = []
     ckpt = None
     for group_id, items in groups.items():
         warm = group_id if isinstance(group_id, str) else None
-        parts: List[List[Tuple[str, SweepPoint]]] = []
-        current: List[Tuple[str, SweepPoint]] = []
-        current_cost = 0.0
-        for item in items:
-            cost = expected[item[0]]
-            if current and (current_cost + cost > share * 1.001
-                            or len(current) >= _CHUNK_CAP):
-                parts.append(current)
-                current, current_cost = [], 0.0
-            current.append(item)
-            current_cost += cost
-        if current:
-            parts.append(current)
-        if warm is not None and len(parts) > 1 and not cache_disabled():
-            # The image is about to be needed by several workers at
+        if warm is not None and len(items) > size and not cache_disabled():
+            # The image is about to be needed by several chunks at
             # once; unless it is already stored, build it exactly once
             # up front instead of racing every chunk into a rebuild.
             if ckpt is None:
@@ -673,16 +537,8 @@ def _plan(pending: List[Tuple[str, SweepPoint]],
                 ckpt = CheckpointStore()
             if not ckpt.has(warm):
                 builds[warm] = items[0][1]
-        for part in parts:
-            chunks.append(_Chunk(
-                items=part,
-                warm_key=warm,
-                expected=sum(expected[key] for key, _ in part),
-                unknown=sum(1 for key, _ in part
-                            if model.estimate(cost_of[key]) is None)))
-
-    chunks.sort(key=lambda chunk: (chunk.unknown, chunk.expected),
-                reverse=True)
+        chunks.extend((warm, items[start:start + size])
+                      for start in range(0, len(items), size))
     return builds, chunks
 
 
@@ -699,9 +555,9 @@ def last_sweep_stats() -> Dict[str, object]:
     point counts, cache hits, workers/chunks/builds scheduled, how
     many warm restores were served from worker snapshot memos, and a
     ``timings`` dict of per-phase seconds — ``probe`` (cache lookups),
-    ``plan`` (cost-model load + chunk planning), ``build`` (worker-side
-    warm-image builds, summed across workers), ``dispatch`` (executor
-    loop excluding build/commit), and ``commit`` (result persistence)."""
+    ``plan`` (chunk planning), ``build`` (worker-side warm-image
+    builds, summed across workers), ``dispatch`` (executor loop
+    excluding build/commit), and ``commit`` (result persistence)."""
     return dict(_LAST_STATS)
 
 
@@ -723,50 +579,35 @@ def run_sweep(points: Sequence[Union[SweepPoint, dict]],
     ``progress`` is called once per unique point with a dict:
     ``done``/``total`` counters, the point's ``label``, ``status``
     (``"hit"`` or ``"run"``), ``wall`` seconds (None for hits), and
-    ``eta`` — the cost model's estimate of remaining wall seconds.
-    Cache hits carry the estimate for the *pending* work only (a warm
-    sweep's hits no longer inflate the early ETA); once nothing is
-    pending every event reports ``eta`` 0.0.
+    ``eta`` — remaining wall seconds, estimated as the mean wall of
+    the points run so far times the points left, over the workers.
+    Cache hits are announced before anything runs, so their ``eta``
+    is None while points are pending and 0.0 when none are.
     """
     normalized: List[SweepPoint] = [
         SweepPoint.make(**p) if isinstance(p, dict) else p for p in points]
     store = _resolve_cache(cache)
 
-    keys: List[str] = []
-    cost_of: Dict[str, str] = {}
+    keys = [point_key(point) for point in normalized]
     point_of: Dict[str, SweepPoint] = {}
-    for point in normalized:
-        spec = _point_spec(point)
-        key = _hash_spec(spec)
-        keys.append(key)
-        if key not in cost_of:
-            cost_of[key] = cost_key(point, spec)
-            point_of[key] = point
+    for key, point in zip(keys, normalized):
+        point_of.setdefault(key, point)
 
     probe_start = time.perf_counter()
     results: Dict[str, SimResult] = {}
     if store is not None:
-        probed = set()
-        for key in keys:
-            if key not in probed:
-                probed.add(key)
-                hit = store.get(key)
-                if hit is not None:
-                    results[key] = hit
+        for key in point_of:
+            hit = store.get(key)
+            if hit is not None:
+                results[key] = hit
     timings: Dict[str, float] = {
         "probe": time.perf_counter() - probe_start,
         "plan": 0.0, "build": 0.0, "dispatch": 0.0, "commit": 0.0,
     }
 
-    pending: List[Tuple[str, SweepPoint]] = []
-    seen = set(results)
-    for key, point in zip(keys, normalized):
-        if key not in seen:
-            seen.add(key)
-            pending.append((key, point))
-
-    total_unique = len(seen)
-    done_count = len(results)
+    pending = [(key, point) for key, point in point_of.items()
+               if key not in results]
+    total_unique = len(point_of)
 
     stats: Dict[str, object] = {
         "points": len(normalized), "unique": total_unique,
@@ -776,54 +617,40 @@ def run_sweep(points: Sequence[Union[SweepPoint, dict]],
         "timings": timings,
     }
 
-    # Plan *before* announcing hits, so hit events can carry the real
-    # remaining-work ETA (pending points only — cached points cost
-    # nothing and must not inflate the estimate).
-    model = workers = builds = chunks = None
-    remaining = 0.0
-    expected: Dict[str, float] = {}
+    if progress is not None:
+        hit_eta = None if pending else 0.0
+        for done, key in enumerate(results, start=1):
+            progress({"done": done, "total": total_unique,
+                      "label": point_of[key].label(),
+                      "status": "hit", "wall": None, "eta": hit_eta})
+
     if pending:
         plan_start = time.perf_counter()
-        model = CostModel.load(store)
         workers = _effective_workers(jobs, len(pending))
-        builds, chunks = _plan(pending, cost_of, model, workers)
+        builds, chunks = _plan(pending, workers)
         timings["plan"] = time.perf_counter() - plan_start
         stats.update(workers=workers, chunks=len(chunks),
                      builds=len(builds))
-        expected = {key: model.expected(cost_of[key])
-                    for key, _ in pending}
-        remaining = sum(expected.values())
-
-    if progress is not None:
-        hit_eta = remaining / workers if pending else 0.0
-        emitted = set()
-        for key in keys:
-            if key in results and key not in emitted:
-                emitted.add(key)
-                progress({"done": len(emitted), "total": total_unique,
-                          "label": point_of[key].label(),
-                          "status": "hit", "wall": None, "eta": hit_eta})
-
-    if pending:
         dispatch_start = time.perf_counter()
+        ran = 0
 
         def commit(key: str, point: SweepPoint, data: Dict,
                    wall: float) -> None:
-            nonlocal done_count, remaining
+            nonlocal ran
             commit_start = time.perf_counter()
             result = SimResult.from_dict(data)
             results[key] = result
             if store is not None:
-                store.put(key, result, wall=wall, cost=cost_of[key])
+                store.put(key, result)
             timings["commit"] += time.perf_counter() - commit_start
             stats["wall_seconds"] = float(stats["wall_seconds"]) + wall
-            remaining -= expected[key]
-            done_count += 1
+            ran += 1
             if progress is not None:
-                progress({"done": done_count, "total": total_unique,
+                mean = float(stats["wall_seconds"]) / ran
+                progress({"done": len(results), "total": total_unique,
                           "label": point.label(), "status": "run",
                           "wall": wall,
-                          "eta": max(remaining, 0.0) / workers})
+                          "eta": mean * (len(pending) - ran) / workers})
 
         if workers == 1:
             # One effective worker: run in-process — no pool, no fork,
@@ -832,8 +659,8 @@ def run_sweep(points: Sequence[Union[SweepPoint, dict]],
             memo_before = memo.memo_hits if memo is not None else 0
             for warm in builds.values():
                 timings["build"] += _prepare_checkpoint(warm)
-            for chunk in chunks:
-                for key, point in chunk.items:
+            for _, items in chunks:
+                for key, point in items:
                     start = time.perf_counter()
                     data = _simulate(point)
                     commit(key, point, data,
@@ -850,38 +677,36 @@ def run_sweep(points: Sequence[Union[SweepPoint, dict]],
     return [results[key] for key in keys]
 
 
-def _run_on_pool(builds: Dict[str, SweepPoint], chunks: List[_Chunk],
+def _run_on_pool(builds: Dict[str, SweepPoint], chunks: _Planned,
                  workers: int, commit: Callable, stats: Dict,
                  timings: Dict[str, float]) -> None:
     """Drive the planned tasks over the persistent worker pool.
 
-    Missing-warm-image builds go out first (they gate the most work);
-    chunks depending on one stay parked until it lands, everything
-    else dispatches immediately in LPT order.  Completions commit as
-    they arrive.  On any task failure the remaining futures are
-    cancelled and the pool is retired — results already committed
-    stay committed, which is what crash-resume leans on.
-    ``timings["build"]`` accumulates worker-side warm-build seconds
-    (summed across workers, so it can exceed the phase's wall clock).
+    Missing-warm-image builds go out first; chunks depending on one
+    stay parked until it lands, everything else dispatches immediately
+    in submission order.  Completions commit as they arrive.  On any
+    task failure the remaining futures are cancelled and the pool is
+    retired — results already committed stay committed, which is what
+    crash-resume leans on.  ``timings["build"]`` accumulates
+    worker-side warm-build seconds (summed across workers, so it can
+    exceed the phase's wall clock).
     """
     pool = _get_pool(workers)
-    gated: Dict[str, List[_Chunk]] = {}
-    for chunk in chunks:
-        if chunk.warm_key in builds:
-            gated.setdefault(chunk.warm_key, []).append(chunk)
-
-    dependent_cost = {warm: sum(chunk.expected for chunk in parked)
-                      for warm, parked in gated.items()}
+    gated: Dict[str, List[_Items]] = {}
     in_flight = {}
-    for warm in sorted(builds, key=lambda w: dependent_cost.get(w, 0.0),
-                       reverse=True):
-        in_flight[pool.submit(_prepare_checkpoint, builds[warm])] = \
-            ("build", warm)
-    for chunk in chunks:
-        if chunk.warm_key not in builds:
-            in_flight[pool.submit(
-                _execute_chunk, [point for _, point in chunk.items])] = \
-                ("chunk", chunk)
+
+    def submit(items: _Items) -> None:
+        in_flight[pool.submit(_execute_chunk,
+                              [point for _, point in items])] = \
+            ("chunk", items)
+
+    for warm, point in builds.items():
+        in_flight[pool.submit(_prepare_checkpoint, point)] = ("build", warm)
+    for warm, items in chunks:
+        if warm in builds:
+            gated.setdefault(warm, []).append(items)
+        else:
+            submit(items)
 
     try:
         while in_flight:
@@ -890,17 +715,14 @@ def _run_on_pool(builds: Dict[str, SweepPoint], chunks: List[_Chunk],
                 kind, payload = in_flight.pop(future)
                 if kind == "build":
                     timings["build"] += future.result()
-                    for chunk in gated.pop(payload, []):
-                        in_flight[pool.submit(
-                            _execute_chunk,
-                            [point for _, point in chunk.items])] = \
-                            ("chunk", chunk)
+                    for items in gated.pop(payload, []):
+                        submit(items)
                 else:
                     dicts, walls, memo_hits = future.result()
                     stats["ckpt_memo_hits"] = \
                         int(stats["ckpt_memo_hits"]) + memo_hits
                     for (key, point), data, wall in zip(
-                            payload.items, dicts, walls):
+                            payload, dicts, walls):
                         commit(key, point, data, wall)
     except BaseException:
         for future in in_flight:

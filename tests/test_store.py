@@ -27,9 +27,10 @@ from repro.store import (RESULT_SCHEMA_VERSION, Store, cache_root, pull,
                          push)
 
 #: A store written by the commit before the store became one module:
-#: one ``results`` entry with ``wall``/``cost`` meta, one ``traces``
-#: entry and one gzip ``ckpt`` entry.  Regenerate it (with the code of
-#: the day) only when a schema version bump makes its entries stale.
+#: one ``results`` entry with the ``wall``/``cost`` scheduling meta
+#: sweeps stamped then, one ``traces`` entry and one gzip ``ckpt``
+#: entry.  Regenerate it (with the code of the day) only when a schema
+#: version bump makes its entries stale.
 PARENT_STORE = Path(__file__).parent / "data" / "store_parent"
 
 
@@ -527,8 +528,8 @@ class TestParentLayout:
         fresh = tmp_path / "fresh"
         (rkey,) = self._keys("results")
         entry = parent.entry("results", rkey)
-        ResultCache(fresh).put(rkey, ResultCache(PARENT_STORE).get(rkey),
-                               wall=entry["wall"], cost=entry["cost"])
+        Store(fresh).set("results", rkey, parent.get("results", rkey),
+                         meta={"wall": entry["wall"], "cost": entry["cost"]})
         (tkey,) = self._keys("traces")
         buffers = load_buffers(parent.get("traces", tkey))
         TraceCache(fresh).get_or_build(tkey, lambda: buffers)
@@ -536,6 +537,13 @@ class TestParentLayout:
         CheckpointStore(fresh).put(ckey, CheckpointStore(PARENT_STORE)
                                    .get(ckey))
         assert self._files(fresh) == self._files(PARENT_STORE)
+        # ResultCache.put encodes the payload exactly as the fixture's
+        # but no longer stamps the fixture's wall/cost scheduling meta.
+        ResultCache(tmp_path / "put").put(
+            rkey, ResultCache(PARENT_STORE).get(rkey))
+        written = Store(tmp_path / "put").entry("results", rkey)
+        assert "wall" not in written and "cost" not in written
+        assert written["digest"] == entry["digest"]
 
     def test_stats_count_the_fixture(self) -> None:
         stats = Store(PARENT_STORE).stats()

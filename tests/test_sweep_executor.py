@@ -15,19 +15,16 @@ import subprocess
 import sys
 import textwrap
 
-import pytest
-
 from repro.cli import build_parser
 from repro.sim import sweep
 from repro.sim.config import bench_kwargs
 from repro.sim.sweep import (
-    CostModel,
+    _CHUNK_CAP,
     ResultCache,
     SweepPoint,
     _effective_workers,
     _plan,
     _warm_checkpoint_key,
-    cost_key,
     last_sweep_stats,
     point_key,
     reset_worker_memo,
@@ -99,12 +96,10 @@ class TestProgress:
         assert [e["done"] for e in events] == [1, 2, 3, 4]
         assert all(e["total"] == len(points) for e in events)
         assert all(e["wall"] >= 0 for e in events)
+        # ETA extrapolates the mean wall of the points run so far over
+        # the points left: never negative, and zero once none are left.
         assert all(e["eta"] >= 0 for e in events)
-        # ETA is the cost model's remaining-work estimate: it shrinks
-        # monotonically to zero as points drain.
-        etas = [e["eta"] for e in events]
-        assert etas == sorted(etas, reverse=True)
-        assert etas[-1] == 0.0
+        assert events[-1]["eta"] == 0.0
 
         events.clear()
         run_sweep(points, cache=cache, progress=events.append)
@@ -120,9 +115,9 @@ class TestProgress:
         assert events[0]["total"] == 1
 
     def test_hit_eta_counts_pending_work_only(self, tmp_path) -> None:
-        """Satellite acceptance: cache hits cost nothing, so hit events
-        report the remaining-work estimate (0 on a fully warm sweep)
-        instead of inflating the ETA with already-cached points."""
+        """Cache hits cost nothing and are announced before anything
+        runs: hit events read 0.0 on a fully warm sweep and None
+        (unknown) while cold points are still pending."""
         cache = ResultCache(tmp_path)
         warm = _points(seed0=38)
         run_sweep(warm, cache=cache)
@@ -132,9 +127,8 @@ class TestProgress:
         assert [e["status"] for e in events] == ["hit"] * len(warm)
         assert all(e["eta"] == 0.0 for e in events)
 
-        # Half warm, half cold: every hit event carries the same
-        # pending-only estimate, and it is no larger than what the
-        # cold points alone would report.
+        # Half warm, half cold: no point has run yet when the hits are
+        # announced, so their ETA is unknown.
         cold = [SweepPoint.make("pathfinder", config, seed=40, **FAST)
                 for config in ("noprefetch", "ordpush")]
         events.clear()
@@ -142,9 +136,8 @@ class TestProgress:
         hits = [e for e in events if e["status"] == "hit"]
         runs = [e for e in events if e["status"] == "run"]
         assert len(hits) == len(warm) and len(runs) == len(cold)
-        hit_etas = {e["eta"] for e in hits}
-        assert len(hit_etas) == 1
-        assert hit_etas.pop() >= max(e["eta"] for e in runs)
+        assert all(e["eta"] is None for e in hits)
+        assert runs[-1]["eta"] == 0.0
 
 
 class TestPhaseTimings:
@@ -275,20 +268,18 @@ class TestWarmAffinityMemo:
 
 class TestDependencyPlanning:
     def _pending(self, points):
-        pending = [(point_key(p), p) for p in points]
-        cost_of = {key: cost_key(p) for key, p in pending}
-        return pending, cost_of
+        return [(point_key(p), p) for p in points]
 
     def test_single_worker_never_splits_or_builds(self, tmp_path,
                                                   monkeypatch) -> None:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        pending, cost_of = self._pending(_warm_points(seed=63))
-        builds, chunks = _plan(pending, cost_of, CostModel(), workers=1)
+        pending = self._pending(_warm_points(seed=63))
+        builds, chunks = _plan(pending, workers=1)
         assert builds == {}
         # one chunk per warm image: the whole group stays on one
         # worker and is served from its memo
         assert len(chunks) == 2
-        planned = [item for chunk in chunks for item in chunk.items]
+        planned = [item for _, items in chunks for item in items]
         assert sorted(key for key, _ in planned) == sorted(
             key for key, _ in pending)
 
@@ -299,13 +290,13 @@ class TestDependencyPlanning:
         a point never runs before its warm build)."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         points = _warm_points(seed=64)
-        pending, cost_of = self._pending(points)
-        builds, chunks = _plan(pending, cost_of, CostModel(), workers=4)
+        pending = self._pending(points)
+        builds, chunks = _plan(pending, workers=4)
         warm_keys = {_warm_checkpoint_key(p) for p in points}
         assert set(builds) == warm_keys
-        assert all(chunk.warm_key in builds for chunk in chunks)
+        assert all(warm in builds for warm, _ in chunks)
         assert len(chunks) > len(warm_keys)  # groups actually split
-        planned = [item for chunk in chunks for item in chunk.items]
+        planned = [item for _, items in chunks for item in items]
         assert len(planned) == len(pending)
 
     def test_no_build_task_when_image_already_stored(self, tmp_path,
@@ -314,15 +305,36 @@ class TestDependencyPlanning:
         points = _warm_points(seed=65)
         # materialize both warm images first
         run_sweep(points, jobs=1, cache=False)
-        pending, cost_of = self._pending(points)
-        builds, _ = _plan(pending, cost_of, CostModel(), workers=4)
+        builds, _ = _plan(self._pending(points), workers=4)
         assert builds == {}
 
     def test_cold_points_are_never_gated(self) -> None:
-        pending, cost_of = self._pending(_points(seed0=66))
-        builds, chunks = _plan(pending, cost_of, CostModel(), workers=4)
+        builds, chunks = _plan(self._pending(_points(seed0=66)), workers=4)
         assert builds == {}
-        assert all(chunk.warm_key is None for chunk in chunks)
+        assert all(warm is None for warm, _ in chunks)
+
+    def test_chunks_by_count_in_submission_order(self, tmp_path,
+                                                 monkeypatch) -> None:
+        """Chunks keep submission order; one worker's 20-point group on
+        a single image splits at the cap into 16 + 4 and gets exactly
+        one build (planning only — nothing is simulated)."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        (image,) = {_warm_checkpoint_key(p) for p in _warm_points(seed=68)
+                    if p.config == "baseline"}
+        group = [SweepPoint.make("cachebw", "baseline", num_cores=4,
+                                 seed=68, topology=topology,
+                                 warmup_barriers=1, warmup_mode="functional",
+                                 array_lines=256, iters=2,
+                                 max_cycles=1_000_000 + extra,
+                                 **bench_kwargs())
+                 for extra in range(10) for topology in ("mesh", "torus")]
+        assert {_warm_checkpoint_key(p) for p in group} == {image}
+        pending = self._pending(_points(seed0=68) + group)
+        builds, chunks = _plan(pending, workers=1)
+        assert [item for _, items in chunks for item in items] == pending
+        warm_chunks = [items for warm, items in chunks if warm is not None]
+        assert [len(items) for items in warm_chunks] == [_CHUNK_CAP, 4]
+        assert set(builds) == {image}
 
     def test_parallel_warm_sweep_bit_identical(self, tmp_path, monkeypatch,
                                                many_cpus) -> None:
@@ -337,39 +349,6 @@ class TestDependencyPlanning:
         serial = run_sweep(points, jobs=1, cache=False)
         assert [r.to_dict() for r in parallel] == [
             r.to_dict() for r in serial]
-
-
-class TestCostModel:
-    def test_estimates_and_fallbacks(self) -> None:
-        model = CostModel()
-        assert model.estimate("a") is None
-        assert model.expected("a") == 1.0
-        model.observe("a", 2.0)
-        model.observe("a", 4.0)
-        model.observe("b", 9.0)
-        assert model.estimate("a") == pytest.approx(3.0)
-        assert model.expected("missing") == pytest.approx(5.0)
-
-    def test_loads_history_from_entry_meta(self, tmp_path) -> None:
-        """Committed sweeps train the scheduler: wall seconds recorded
-        in entry metadata come back through CostModel.load, keyed by
-        the seed-blind cost profile."""
-        cache = ResultCache(tmp_path)
-        point = SweepPoint.make("pathfinder", "noprefetch", seed=71, **FAST)
-        run_sweep([point], cache=cache)
-        replica = SweepPoint.make("pathfinder", "noprefetch", seed=99,
-                                  **FAST)
-        assert cost_key(point) == cost_key(replica)
-        assert point_key(point) != point_key(replica)
-        model = CostModel.load(cache)
-        estimate = model.estimate(cost_key(replica))
-        assert estimate is not None and estimate >= 0
-
-    def test_seed_blind_but_config_sensitive(self) -> None:
-        base = SweepPoint.make("pathfinder", "ordpush", seed=1, **FAST)
-        other_config = SweepPoint.make("pathfinder", "baseline", seed=1,
-                                       **FAST)
-        assert cost_key(base) != cost_key(other_config)
 
 
 class TestNoCacheConsistency:
