@@ -197,10 +197,13 @@ def _jobs_arg(value: str) -> int:
     if value.strip().lower() == "auto":
         return 0
     try:
-        return int(value)
+        jobs = int(value)
     except ValueError:
+        jobs = -1
+    if jobs < 0:
         raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}")
+            f"expected a count >= 0 or 'auto', got {value!r}")
+    return jobs
 
 
 def _progress_printer():

@@ -452,26 +452,10 @@ def run_sampled_grid(points: Sequence[SweepPoint],
                 "leave the point's warmup/measure fields at default")
     all_regions = [region_points(point, policy) for point in points]
 
-    if policy.ci_target <= 0.0:
-        # Budget mode: one wave, every region of every point.
-        for point, regions in zip(points, all_regions):
-            _prepare_warm_chain(point, [p.warmup_barriers for p in regions],
-                                policy)
-        flat = [p for regions in all_regions for p in regions]
-        results = run_sweep(flat, jobs=jobs, cache=cache, progress=progress)
-        sampled = []
-        cursor = 0
-        for point, regions in zip(points, all_regions):
-            per_point = results[cursor:cursor + len(regions)]
-            cursor += len(regions)
-            sampled.append(aggregate(
-                point, policy,
-                _tag_regions(per_point, list(range(len(regions))))))
-        return sampled
-
-    # Early-stop mode: lockstep waves over the unconverged points.
     collected: List[List[SimResult]] = [[] for _ in points]
     done: List[Optional[bool]] = [None] * len(points)
+
+    wave_size = policy.wave if policy.ci_target > 0.0 else policy.samples
 
     def _converged(regions: List[SimResult]) -> bool:
         if len(regions) < policy.min_samples:
@@ -488,7 +472,7 @@ def run_sampled_grid(points: Sequence[SweepPoint],
             if done[i] is not None:
                 continue
             taken = len(collected[i])
-            wave = regions[taken:taken + policy.wave]
+            wave = regions[taken:taken + wave_size]
             _prepare_warm_chain(points[i],
                                 [p.warmup_barriers for p in wave], policy)
             wave_slices.append((i, taken, len(wave)))
@@ -502,7 +486,7 @@ def run_sampled_grid(points: Sequence[SweepPoint],
             collected[i].extend(
                 _tag_regions(per_wave,
                              list(range(taken, taken + count))))
-            if _converged(collected[i]):
+            if policy.ci_target <= 0.0 or _converged(collected[i]):
                 done[i] = True
             elif len(collected[i]) >= len(all_regions[i]):
                 done[i] = False  # budget exhausted short of the target

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _jobs_arg, build_parser, main
 
 
 class TestParser:
@@ -60,6 +62,14 @@ class TestCommands:
              "--seeds", "3", "--jobs", "4", "--no-cache"])
         assert args.workload == "cachebw"
         assert args.seeds == 3 and args.jobs == 4 and args.no_cache
+
+    def test_jobs_rejects_negative_counts(self, capsys) -> None:
+        assert _jobs_arg("auto") == 0 and _jobs_arg("0") == 0
+        with pytest.raises(argparse.ArgumentTypeError):
+            _jobs_arg("-3")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "cachebw", "--jobs", "-3"])
+        assert "count >= 0" in capsys.readouterr().err
 
     def test_sweep_small(self, capsys, tmp_path, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
