@@ -6,6 +6,12 @@ your own per-core trace generators (here, a producer-consumer-flavoured
 pipeline where stage N's cores re-read what stage N-1 wrote), attach
 them to a configured System, and inspect the statistics directly.
 
+Each round the writers fill a stage buffer and the readers read it
+twice.  The buffer is twice the scaled 32 KB L2, so the second pass
+misses again, and its GETS comes from a core the directory already
+lists as a sharer: the re-miss on which ``ordpush`` multicasts the line
+to the other sharers.  Read once per round, no line would be pushed.
+
 Usage::
 
     python examples/custom_workload.py
@@ -21,7 +27,7 @@ from repro.sim.results import collect_result
 from repro.sim.system import System
 
 NUM_CORES = 16
-STAGE_LINES = 512
+STAGE_LINES = 1024  # 64 KB: twice the scaled L2
 ROUNDS = 3
 BASE = 0x4000000
 
@@ -40,9 +46,10 @@ def pipeline_trace(core: int):
                                 work=3 + rng.randrange(0, 4))
         yield BARRIER
         if not writer:
-            for line in range(STAGE_LINES):
-                yield MemAccess(addr=BASE + line * 64,
-                                work=2 + rng.randrange(0, 3))
+            for _ in range(2):
+                for line in range(STAGE_LINES):
+                    yield MemAccess(addr=BASE + line * 64,
+                                    work=2 + rng.randrange(0, 3))
         yield BARRIER
 
 

@@ -5,7 +5,6 @@ from repro.cache.llc import LLCSlice
 from repro.cache.memory import MemoryController
 from repro.cache.mshr import MSHR, MSHRFile
 from repro.cache.private_cache import PrivateCache
-from repro.cache.replacement import LRUPolicy, TreePLRUPolicy
 from repro.cache.sram import CacheArray, CacheLine
 
 __all__ = [
@@ -13,11 +12,9 @@ __all__ = [
     "CacheLine",
     "DirState",
     "LLCSlice",
-    "LRUPolicy",
     "MemoryController",
     "MSHR",
     "MSHRFile",
     "PrivState",
     "PrivateCache",
-    "TreePLRUPolicy",
 ]

@@ -26,11 +26,11 @@ detaches its view — the object keeps a final copy of the line's fields
 (callers inspect ``victim.dirty`` / ``victim.payload`` after eviction)
 and can be re-installed later.
 
-The default true-LRU policy is folded into the array as a globally
-unique incrementing stamp per touch (victim = min stamp, deterministic
-regardless of candidate order).  Passing a different ``policy_factory``
-(e.g. tree PLRU) switches to the pluggable per-(set, way) policy
-interface of :mod:`repro.cache.replacement`.
+Replacement is true LRU, as in the paper's gem5 Ruby caches, folded
+into the array as a globally unique incrementing stamp per touch
+(victim = min stamp, deterministic regardless of candidate order).
+Controllers on the hit path bump ``_stamp``/``_stamps`` directly, so
+the stamps are the only recency state there is.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.params import CacheParams
 from repro.cache.coherence import STATE_CODE, STATE_OBJS
-from repro.cache.replacement import LRUPolicy, ReplacementPolicy
 
 #: bit-packed CacheLine status flags (the _flags bytearray)
 F_DIRTY = 1
@@ -132,11 +131,9 @@ class CacheLine:
 
 
 class CacheArray:
-    """Tag/state/flags arrays with folded LRU (or pluggable) replacement."""
+    """Tag/state/flags arrays with folded true-LRU replacement."""
 
-    def __init__(self, params: CacheParams,
-                 policy_factory: Callable[[int, int], ReplacementPolicy]
-                 = LRUPolicy) -> None:
+    def __init__(self, params: CacheParams) -> None:
         self.params = params
         self.num_sets = params.num_sets
         self.assoc = params.assoc
@@ -157,10 +154,6 @@ class CacheArray:
             for base in range(0, slots, self.assoc)]
         #: lazily materialized per-slot CacheLine views (object API)
         self._views: List[Optional[CacheLine]] = [None] * slots
-        #: None = folded true LRU; anything else uses the policy object
-        self._policy: Optional[ReplacementPolicy] = (
-            None if policy_factory is LRUPolicy
-            else policy_factory(self.num_sets, self.assoc))
 
     def set_index(self, line_addr: int) -> int:
         return line_addr & self._set_mask
@@ -175,12 +168,8 @@ class CacheArray:
 
     def touch_slot(self, slot: int) -> None:
         """Record a hit on ``slot`` for replacement."""
-        if self._policy is None:
-            self._stamp = stamp = self._stamp + 1
-            self._stamps[slot] = stamp
-        else:
-            index = slot // self.assoc
-            self._policy.touch(index, slot - index * self.assoc)
+        self._stamp = stamp = self._stamp + 1
+        self._stamps[slot] = stamp
 
     def install_flat(self, line_addr: int, state_code: int,
                      payload: int = 0, flags: int = 0) -> int:
@@ -201,15 +190,10 @@ class CacheArray:
         return slot
 
     def _pick_victim(self, candidates) -> int:
-        if self._policy is None:
-            # Stamps are globally unique, so the minimum is unique and
-            # the candidate order cannot matter; list.__getitem__ keeps
-            # the key call at C level.
-            return min(candidates, key=self._stamps.__getitem__)
-        base = (candidates[0] // self.assoc) * self.assoc
-        way = self._policy.victim(
-            base // self.assoc, [slot - base for slot in candidates])
-        return base + way
+        # Stamps are globally unique, so the minimum is unique and the
+        # candidate order cannot matter; list.__getitem__ keeps the key
+        # call at C level.
+        return min(candidates, key=self._stamps.__getitem__)
 
     def evict_flat(self, line_addr: int, skip_blocked: bool = False
                    ) -> Optional[Tuple[int, int, int, int]]:

@@ -12,19 +12,19 @@ drains its outstanding operations, arrives, and resumes when every core
 has arrived.
 
 A core accepts either a live record iterable or a precompiled
-:class:`~repro.cpu.tracebuf.TraceBuffer`; the buffer path replays the
-same issue/stall/barrier decisions from an integer cursor over the flat
-columns without touching a record object per access.
+:class:`~repro.cpu.tracebuf.TraceBuffer`, and compiles the former into
+the latter up front, so every core steps from an integer cursor over
+the flat columns without touching a record object per access.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Iterable, List, Optional, Union
 
 from repro.common.scheduler import Scheduler
 from repro.common.stats import StatGroup
 from repro.cpu.tracebuf import TraceBuffer
-from repro.cpu.traces import BARRIER, MemAccess, TraceRecord
+from repro.cpu.traces import TraceRecord
 
 
 class Barrier:
@@ -69,7 +69,7 @@ class Core:
     """One processor core driving a private cache from a trace."""
 
     def __init__(self, tile: int, params, scheduler: Scheduler,
-                 cache, trace: Iterable[TraceRecord],
+                 cache, trace: Union[TraceBuffer, Iterable[TraceRecord]],
                  barrier: Optional[Barrier] = None,
                  on_finished: Optional[Callable[["Core"], None]] = None,
                  stats: Optional[StatGroup] = None) -> None:
@@ -80,19 +80,16 @@ class Core:
         self.barrier = barrier
         self.on_finished = on_finished
         self.stats = stats if stats is not None else StatGroup(f"core{tile}")
-        if isinstance(trace, TraceBuffer):
-            self._buf: Optional[TraceBuffer] = trace
-            self._cursor = 0
-            self._loaded = False
-            self._trace: Iterator[TraceRecord] = iter(())
-            # Instance attribute shadows the method: the scheduler and
-            # the barrier both invoke self._step, so binding here routes
-            # every wakeup through the cursor path.
-            self._step = self._step_buffered
-        else:
-            self._buf = None
-            self._trace = iter(trace)
-        self._pending: Optional[TraceRecord] = None
+        if not isinstance(trace, TraceBuffer):
+            trace = TraceBuffer.compile(trace)
+        self._buf = trace
+        self._cursor = 0
+        self._loaded = False
+        # The scheduler, the fast path and checkpoint restore call
+        # ``_step``.  Binding it per instance means a wrapper installed
+        # on ``Core._step_buffered`` before the core is built (the
+        # benchmark's spans) is what runs.
+        self._step = self._step_buffered
         self._outstanding = 0
         self._ready_cycle = 0
         self._last_issue = 0
@@ -118,39 +115,13 @@ class Core:
         self._step_scheduled = True
         self.scheduler.after(delay, self._step)
 
-    def _step(self) -> None:
-        self._step_scheduled = False
-        if self.finished or self._at_barrier:
-            return
-        while True:
-            record = self._next_record()
-            if record is None:
-                if self._outstanding == 0 and self._trace_exhausted:
-                    self._finish()
-                return
-            if record is BARRIER:
-                if self._outstanding > 0:
-                    return  # drain first; completions re-step us
-                self._pending = None
-                self._at_barrier = True
-                self.stats.inc("barriers")
-                self.barrier.arrive(self)
-                return
-            now = self.scheduler.now
-            if now < self._ready_cycle:
-                self._schedule_step(self._ready_cycle - now)
-                return
-            if self._outstanding >= self.params.max_outstanding:
-                self._c_window_stalls.value += 1
-                return  # a completion will re-step us
-            self._issue(record)
-
     def _step_buffered(self) -> None:
-        """The cursor-driven twin of :meth:`_step` for trace buffers.
+        """Issue trace rows until the core must wait.
 
-        Replays the scalar path's decisions exactly: the compute gap is
-        latched when a row is first considered (``_loaded``), barriers
-        wait for the window to drain, and the issue order is unchanged.
+        The compute gap is latched when a row is first considered
+        (``_loaded``) and runs from the previous issue; a barrier row
+        waits for the window to drain; a full window waits for a
+        completion to re-step the core.
         """
         self._step_scheduled = False
         if self.finished or self._at_barrier:
@@ -197,28 +168,6 @@ class Core:
             self.cache.access(addr, bool(buf.is_write[i]),
                               self._on_complete, pc=buf.pc[i])
 
-    @property
-    def _trace_exhausted(self) -> bool:
-        return self._pending is None
-
-    def _next_record(self) -> Optional[TraceRecord]:
-        if self._pending is None:
-            record = next(self._trace, None)
-            self._pending = record
-            if isinstance(record, MemAccess):
-                # The compute gap runs from the previous issue.
-                self._ready_cycle = self._last_issue + record.work
-        return self._pending
-
-    def _issue(self, record: MemAccess) -> None:
-        self._pending = None
-        self._outstanding += 1
-        self.instructions += record.instructions
-        self._c_accesses.value += 1
-        self._last_issue = self.scheduler.now
-        self.cache.access(record.addr, record.is_write, self._on_complete,
-                          pc=record.pc)
-
     def _on_complete(self) -> None:
         self._outstanding -= 1
         self._c_completions.value += 1
@@ -246,8 +195,7 @@ class Core:
 # Fast-path ownership tags (repro.cpu.fastpath): a scheduler bucket whose
 # every event carries a nonzero ``_fp_kind`` is wholly core activity and
 # may be executed by the batched stepper.  Bound methods forward attribute
-# reads to the underlying function, so tagging here covers every instance.
-# The generic trace-replay ``_step`` is deliberately untagged — only
-# buffer-backed cores participate.
+# reads to the underlying function, so tagging here covers every instance,
+# including the ``_step`` alias each core binds to ``_step_buffered``.
 Core._on_complete._fp_kind = 1
 Core._step_buffered._fp_kind = 2

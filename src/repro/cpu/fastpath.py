@@ -66,8 +66,8 @@ def set_fastpath(enabled: bool) -> None:
 class BatchedStepper:
     """Executes fully core-owned scheduler buckets in bulk.
 
-    Built by :class:`repro.sim.system.System` once every core is
-    buffer-backed; :meth:`run_cycle` is the drop-in replacement for
+    Built by :class:`repro.sim.system.System` once the cores are
+    attached; :meth:`run_cycle` is the drop-in replacement for
     ``scheduler.run_due(cycle)`` on cycles where the network has no due
     work.
     """

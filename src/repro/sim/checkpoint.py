@@ -108,9 +108,6 @@ def _dump_array(arr: CacheArray) -> Dict:
 
 
 def _load_array(arr: CacheArray, snap: Dict) -> None:
-    if arr._policy is not None:
-        raise SimulationError(
-            "checkpoint restore supports the folded-LRU policy only")
     slots = arr.num_sets * arr.assoc
     arr._stamp = snap["stamp"]
     # Mutate every container in place: hot paths hold bound references

@@ -93,7 +93,7 @@ class System:
         ]
 
         # Batched coherence fast path (repro.cpu.fastpath): a stepper
-        # built lazily once every core is buffer-backed.  Prefetcher
+        # built lazily once the cores are attached.  Prefetcher
         # configs opt out — a prefetcher trains on every demand access,
         # so no access would retire as a clean hit and the walk would be
         # pure overhead.
@@ -207,7 +207,11 @@ class System:
     # ------------------------------------------------------------------
 
     def attach_workload(self, traces: List[TraceRecord]) -> None:
-        """Create one core per trace (must match the core count)."""
+        """Create one core per trace (must match the core count).
+
+        A trace is a :class:`~repro.cpu.tracebuf.TraceBuffer` or a
+        record iterable, which the core compiles into one.
+        """
         if len(traces) != self.params.num_cores:
             raise ConfigError(
                 f"workload provides {len(traces)} traces for "
@@ -246,10 +250,9 @@ class System:
             core.start()
 
     def _ensure_stepper(self) -> None:
-        """Build the batched stepper once every core is buffer-backed."""
+        """Build the batched stepper once the cores are attached."""
         if (self._stepper is None and self._fp_eligible
-                and fastpath_enabled() and self.cores
-                and all(core._buf is not None for core in self.cores)):
+                and fastpath_enabled() and self.cores):
             from repro.cpu.fastpath import BatchedStepper
             self._stepper = BatchedStepper(self)
 
@@ -342,10 +345,6 @@ class System:
             raise ConfigError("attach_workload() before run_to_quiesce()")
         if warmup_barriers < 1:
             raise ConfigError("warmup_barriers must be >= 1")
-        if any(core._buf is None for core in self.cores):
-            raise ConfigError(
-                "checkpointing requires precompiled trace buffers "
-                "(build the workload via build_trace_buffers)")
         barrier = self.cores[0].barrier
         if warmup_barriers <= barrier.crossings:
             raise ConfigError(

@@ -28,7 +28,7 @@ from repro.sim.runner import resolve_point, run_workload
 from repro.sim.statsdump import dump_stats
 from repro.sim.system import System
 from repro.sim.sweep import SweepPoint, point_key
-from repro.workloads.registry import build_trace_buffers
+from repro.workloads.registry import build_trace_buffers, build_traces
 
 #: a fast point with real coherence traffic on both sides of the hold
 FAST = dict(workload="cachebw", num_cores=4, seed=1, iters=4)
@@ -40,13 +40,14 @@ SCHEMES = ("baseline", "coalesce", "msp", "pushack", "ordpush",
            "push_mc_filter")
 
 
-def _fresh_system(config: str, **hw):
+def _fresh_system(config: str, build=build_trace_buffers, **hw):
+    """A system on the FAST point; ``build`` is ``build_trace_buffers``
+    (compiled buffers) or ``build_traces`` (live generators)."""
     params, wl_kwargs = resolve_point(FAST["workload"], config,
                                       FAST["num_cores"], iters=FAST["iters"],
                                       **hw)
-    traces = build_trace_buffers(FAST["workload"],
-                                 num_cores=FAST["num_cores"],
-                                 seed=FAST["seed"], **wl_kwargs)
+    traces = build(FAST["workload"], num_cores=FAST["num_cores"],
+                   seed=FAST["seed"], **wl_kwargs)
     system = System(params)
     system.attach_workload(traces)
     return system
@@ -64,17 +65,22 @@ def _serialized(state: dict) -> bytes:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("config", SCHEMES)
-    def test_roundtrip_matches_inprocess_continue(self, config) -> None:
-        continued = _fresh_system(config)
+    @pytest.mark.parametrize("config, build", [
+        *(pytest.param(config, build_trace_buffers, id=config)
+          for config in SCHEMES),
+        # generator-fed systems checkpoint like buffer-fed ones
+        pytest.param("ordpush", build_traces, id="ordpush-generators")])
+    def test_roundtrip_matches_inprocess_continue(self, config,
+                                                  build) -> None:
+        continued = _fresh_system(config, build)
         continued.run_to_quiesce(2)
         finish_a = continued.run()
 
-        paused = _fresh_system(config)
+        paused = _fresh_system(config, build)
         paused.run_to_quiesce(2)
         state = json.loads(_serialized(capture_state(
             paused, FAST["workload"], config)))
-        restored = _fresh_system(config)
+        restored = _fresh_system(config, build)
         restore_system(restored, state)
         finish_b = restored.run()
 

@@ -63,6 +63,14 @@ class TestVictimSelection:
         victim = array.evict_victim(0x2)
         assert victim.line_addr == 0x1
 
+    def test_sets_are_independent(self) -> None:
+        array = small_array(sets=2, assoc=2)  # set = line_addr & 1
+        for addr in (0x1, 0x0, 0x2, 0x3):
+            array.install(CacheLine(addr, PrivState.S))
+        # 0x1 is the oldest line overall, but it lives in set 1.
+        assert array.evict_victim(0x4).line_addr == 0x0
+        assert array.evict_victim(0x5).line_addr == 0x1
+
     def test_blocked_lines_are_protected(self) -> None:
         array = small_array(sets=1, assoc=2)
         blocked = CacheLine(0x0, PrivState.S)

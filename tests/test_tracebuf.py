@@ -173,7 +173,8 @@ class TestTraceCache:
 
 class TestBufferedCoreEquivalence:
     def test_buffered_run_matches_generator_run(self) -> None:
-        """The cursor-driven core replays the generator path exactly."""
+        """A core given live generators compiles them itself and runs
+        exactly as one given pre-built buffers."""
         params = make_params("ordpush", num_cores=4)
         generator_run = run_system(
             params, build_traces("pathfinder", 4, seed=1, iters=4),
