@@ -6,8 +6,8 @@ are cached twice: in a session-scoped memo, and in the on-disk
 content-addressed result cache (:mod:`repro.sim.sweep`), so figures
 that share runs (e.g. Fig. 11's speedups and Fig. 13's traffic
 breakdowns use the same simulations) pay for them once — across the
-whole suite and across sessions.  Set ``REPRO_NO_CACHE=1`` to force
-fresh simulations, or ``REPRO_CACHE_DIR`` to relocate the store.
+whole suite and across sessions.  Set ``REPRO_CACHE_DIR`` to relocate
+the store; pointing it at an empty directory forces fresh simulations.
 
 All benchmarks run on the scaled cache profile (see
 ``repro.sim.config.BENCH_PROFILE``): caches and workload footprints are
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import pathlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import pytest
 
@@ -62,9 +62,7 @@ SIZES_64: Dict[str, dict] = {
 _CACHE: Dict[Tuple, SimResult] = {}
 
 
-def _disk_cache() -> Optional[ResultCache]:
-    if os.environ.get("REPRO_NO_CACHE"):
-        return None
+def _disk_cache() -> ResultCache:
     default = pathlib.Path(__file__).resolve().parent.parent / ".repro_cache"
     return ResultCache(os.environ.get("REPRO_CACHE_DIR", default))
 

@@ -11,10 +11,12 @@ tree, and ``simbench/run.py`` puts that tree's ``src/`` first on
 checkout: ``git worktree add DIR REV``, or ``git archive REV | tar -x
 -C DIR``.
 
-Prints one JSON line: the per-pair ``cpu_s`` ratios (head / base),
-their median and interquartile range, and the verdict.  Exits non-zero
-when the median ratio is above ``THRESHOLD``, or when a run fails or
-reports a wrong output.
+Gates every metric in ``GATED`` on its median per-pair head/base
+ratio: ``cpu_s`` against ``THRESHOLD``, every other metric against 1
+plus the bound ``BENCHMARK.json`` gives it.  Prints one JSON line with
+each metric's per-pair ratios, their median and interquartile range,
+and the verdict.  Exits non-zero when any median ratio is above its
+threshold, or when a run fails or reports a wrong output.
 """
 
 import argparse
@@ -23,15 +25,29 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Dict
 
 #: measured seconds per run
 SECONDS = 10
-#: the largest median head/base ``cpu_s`` ratio that passes
+#: the gated end-to-end metrics; each is better when lower
+GATED = ("cpu_s", "setup_s", "peak_rss_mb")
+#: the largest median head/base ``cpu_s`` ratio that passes (tighter
+#: than the benchmark's own ``cpu_s`` bound)
 THRESHOLD = 1.10
+#: the benchmark declaration beside this script's tree
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
-def cpu_s(tree: Path, workload: str) -> float:
-    """Run the benchmark once in ``tree``; its ``cpu_s``."""
+def thresholds() -> Dict[str, float]:
+    """The largest median head/base ratio that passes, per metric."""
+    bounds = {metric["name"]: metric["bound"] for metric
+              in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    return {name: THRESHOLD if name == "cpu_s" else 1 + bounds[name]
+            for name in GATED}
+
+
+def measure(tree: Path, workload: str) -> Dict[str, float]:
+    """Run the benchmark once in ``tree``; its gated metrics."""
     command = [sys.executable, "simbench/run.py", "--workload", workload,
                "--seed", "1", "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE,
@@ -42,7 +58,7 @@ def cpu_s(tree: Path, workload: str) -> float:
     result = json.loads(lines[-1])
     if not result["correct"]:
         raise RuntimeError(f"{tree}: output check failed")
-    return result["metrics"]["cpu_s"]["value"]
+    return {name: result["metrics"][name]["value"] for name in GATED}
 
 
 def main(argv=None) -> int:
@@ -57,26 +73,34 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")
 
-    report = {"workload": args.workload, "threshold": THRESHOLD,
-              "base_cpu_s": [], "head_cpu_s": []}
+    limits = thresholds()
+    runs = {"base": [], "head": []}
+    report = {"workload": args.workload}
     try:
         for pair in range(args.pairs):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
             for side in order:
-                report[f"{side}_cpu_s"].append(
-                    cpu_s(getattr(args, side), args.workload))
+                runs[side].append(measure(getattr(args, side),
+                                          args.workload))
     except RuntimeError as exc:
-        report.update(verdict="error", error=str(exc))
+        report.update(runs, verdict="error", error=str(exc))
         print(json.dumps(report))
         return 1
-    ratios = [head / base for base, head
-              in zip(report["base_cpu_s"], report["head_cpu_s"])]
-    median = statistics.median(ratios)
-    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    passed = median <= THRESHOLD
-    report.update(ratios=[round(r, 4) for r in ratios],
-                  median=round(median, 4), iqr=[round(q1, 4), round(q3, 4)],
-                  verdict="pass" if passed else "fail")
+    passed = True
+    for name, limit in limits.items():
+        ratios = [head[name] / base[name]
+                  for base, head in zip(runs["base"], runs["head"])]
+        median = statistics.median(ratios)
+        q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        passed &= median <= limit
+        report[name] = {
+            "threshold": round(limit, 4),
+            "base": [run[name] for run in runs["base"]],
+            "head": [run[name] for run in runs["head"]],
+            "ratios": [round(r, 4) for r in ratios],
+            "median": round(median, 4), "iqr": [round(q1, 4), round(q3, 4)],
+            "verdict": "pass" if median <= limit else "fail"}
+    report["verdict"] = "pass" if passed else "fail"
     print(json.dumps(report))
     return 0 if passed else 1
 

@@ -44,7 +44,7 @@ from typing import Callable, List, Optional
 from repro.common.params import ENGINES, TOPOLOGIES
 from repro.sim.config import CONFIG_NAMES, bench_kwargs, mesh_shape
 from repro.sim.results import PUSH_CATEGORIES, SimResult
-from repro.sim.runner import run_workload
+from repro.sim.runner import run_comparison, run_workload
 from repro.sim.sweep import SweepPoint, derive_seed, run_sweep
 from repro.workloads.registry import WORKLOADS, workload_names
 
@@ -169,21 +169,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    kwargs = _hw_kwargs(args)
-    warmup = _warmup_kwargs(args)
-    baseline = run_workload(args.workload, args.configs[0],
-                            num_cores=args.cores, seed=args.seed,
-                            **warmup, **kwargs)
+    results = run_comparison(args.workload, args.configs,
+                             num_cores=args.cores, seed=args.seed,
+                             jobs=1, cache=False, **_warmup_kwargs(args),
+                             **_hw_kwargs(args))
+    baseline = results[args.configs[0]]
     print(f"{args.workload} on {args.cores} cores "
           f"(reference: {args.configs[0]})")
     print(f"{'config':18s}{'speedup':>9s}{'traffic':>9s}{'mpki':>8s}"
           f"{'push acc':>10s}")
-    rows = [(args.configs[0], baseline)]
-    for config in args.configs[1:]:
-        rows.append((config, run_workload(
-            args.workload, config, num_cores=args.cores, seed=args.seed,
-            **warmup, **kwargs)))
-    for config, result in rows:
+    for config in args.configs:
+        result = results[config]
         print(f"{config:18s}{result.speedup_over(baseline):8.2f}x"
               f"{result.traffic_vs(baseline):9.2f}"
               f"{result.l2_mpki:8.1f}"

@@ -22,14 +22,14 @@ generator itself; :func:`repro.workloads.base.access` and ``scan`` keep
 that to the random draws and one ``tuple.__new__``.
 
 :class:`TraceCache` stores compiled buffers in two layers: an
-in-process memo keyed by the trace's content hash, and (unless
-``REPRO_NO_CACHE`` is set) the unified content-addressed store's
-``traces`` namespace (:mod:`repro.store`) — the same root as the sweep's
-result cache (``.repro_cache/``, relocatable with ``REPRO_CACHE_DIR``)
-— so sweep worker processes and later sessions share one compilation
-per point.  Serialization is a fixed little-endian layout, so the same
-``(workload, num_cores, seed, sizes)`` produces byte-identical objects
-across processes; corrupt or truncated entries are treated as misses.
+in-process memo keyed by the trace's content hash, and the unified
+content-addressed store's ``traces`` namespace (:mod:`repro.store`) —
+the same root as the sweep's result cache (``.repro_cache/``,
+relocatable with ``REPRO_CACHE_DIR``) — so sweep worker processes and
+later sessions share one compilation per point.  Serialization is a
+fixed little-endian layout, so the same ``(workload, num_cores, seed,
+sizes)`` produces byte-identical objects across processes; corrupt or
+truncated entries are treated as misses.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.cpu.traces import BARRIER, MemAccess, TraceRecord
-from repro.store import TRACE_SCHEMA_VERSION, Store, cache_disabled
+from repro.store import TRACE_SCHEMA_VERSION, Store
 
 __all__ = ["TRACE_SCHEMA_VERSION", "TraceBuffer", "TraceCache",
            "dump_buffers", "load_buffers", "trace_key"]
@@ -210,25 +210,10 @@ class TraceCache:
         self.memo_hits = 0
         self.disk_hits = 0
 
-    def _store(self) -> Optional[Store]:
-        """The on-disk layer, or None when disabled.
-
-        Resolved per call so tests can repoint ``REPRO_CACHE_DIR`` or
-        flip ``REPRO_NO_CACHE`` after the cache object exists.
-        """
-        if cache_disabled():
-            return None
-        return Store(self._root)
-
     def _trim(self) -> None:
         if self.memo_limit is not None:
             while len(self.memo) > self.memo_limit:
                 self.memo.popitem(last=False)
-
-    def path_for(self, key: str) -> Optional[Path]:
-        """The entry file for ``key`` (None when disk is off)."""
-        store = self._store()
-        return None if store is None else store.entry_path("traces", key)
 
     def get_or_build(self, key: str,
                      build: Callable[[], List[TraceBuffer]]
@@ -239,31 +224,23 @@ class TraceCache:
             self.memo.move_to_end(key)
             self.memo_hits += 1
             return buffers
-        store = self._store()
-        if store is not None:
-            blob = store.get("traces", key)
-            if blob is not None:
-                try:
-                    buffers = load_buffers(blob)
-                except ValueError:
-                    buffers = None
-            if buffers is not None:
-                self.disk_hits += 1
-                self.memo[key] = buffers
-                self._trim()
-                return buffers
+        # resolved per call, so a repointed REPRO_CACHE_DIR takes effect
+        store = Store(self._root)
+        blob = store.get("traces", key)
+        if blob is not None:
+            try:
+                buffers = load_buffers(blob)
+            except ValueError:
+                buffers = None
+        if buffers is not None:
+            self.disk_hits += 1
+            self.memo[key] = buffers
+            self._trim()
+            return buffers
         buffers = build()
         self.builds += 1
         self.memo[key] = buffers
         self._trim()
-        if store is not None:
-            store.set("traces", key, dump_buffers(buffers))
+        store.set("traces", key, dump_buffers(buffers))
         return buffers
-
-    def clear(self) -> None:
-        """Drop the memo and delete on-disk entries."""
-        self.memo.clear()
-        store = self._store()
-        if store is not None:
-            store.clear("traces")
 

@@ -46,8 +46,7 @@ from repro.common.errors import SimulationError
 from repro.cpu.tracebuf import trace_key
 from repro.noc.functional import FunctionalNetwork
 from repro.sim.results import SimResult, collect_result
-from repro.store import (CKPT_SCHEMA_VERSION, Store, cache_disabled,
-                         warn_fallback)
+from repro.store import CKPT_SCHEMA_VERSION, Store, warn_fallback
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +512,11 @@ class CheckpointStore:
     """Warm-state snapshots as a typed view over the unified store.
 
     A thin wrapper around the store's ``ckpt`` namespace (gzip codec,
-    streaming compression): honors ``REPRO_CACHE_DIR`` and
-    ``REPRO_NO_CACHE`` (resolved per call), writes atomically, and
-    treats unreadable, corrupt, or version-mismatched entries as
-    misses — with a warning through the store's single fallback path —
-    so a bad checkpoint can only cost a cold rebuild, never a crash.
+    streaming compression): honors ``REPRO_CACHE_DIR`` (resolved per
+    call), writes atomically, and treats unreadable, corrupt, or
+    version-mismatched entries as misses — with a warning through the
+    store's single fallback path — so a bad checkpoint can only cost a
+    cold rebuild, never a crash.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -525,31 +524,17 @@ class CheckpointStore:
         self.hits = 0
         self.misses = 0
 
-    def _store(self) -> Optional[Store]:
-        if cache_disabled():
-            return None
-        return Store(self._root)
-
-    def path_for(self, key: str) -> Optional[Path]:
-        """The entry file for ``key`` (None when disabled)."""
-        store = self._store()
-        return None if store is None else store.entry_path("ckpt", key)
-
     def has(self, key: str) -> bool:
         """Whether a trusted snapshot exists for ``key``.
 
         Entry-level only — no multi-megabyte payload read — so sweep
         planning can cheaply decide whether a warm build is needed.
         """
-        store = self._store()
-        return store is not None and store.entry("ckpt", key) is not None
+        return Store(self._root).entry("ckpt", key) is not None
 
     def _load(self, key: str) -> Optional[Dict]:
         """Fetch and vet a snapshot without touching the counters."""
-        store = self._store()
-        if store is None:
-            return None
-        data = store.get("ckpt", key)
+        data = Store(self._root).get("ckpt", key)
         if data is None:
             return None
         try:
@@ -589,15 +574,7 @@ class CheckpointStore:
         return self._load(key)
 
     def put(self, key: str, state: Dict) -> None:
-        store = self._store()
-        if store is None:
-            return
-        store.set("ckpt", key, _json_chunks(state))
-
-    def clear(self) -> None:
-        store = self._store()
-        if store is not None:
-            store.clear("ckpt")
+        Store(self._root).set("ckpt", key, _json_chunks(state))
 
 
 class MemoCheckpointStore(CheckpointStore):

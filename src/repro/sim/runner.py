@@ -18,7 +18,7 @@ processes (``jobs``) and reuse the on-disk result cache (``cache``).
 from __future__ import annotations
 
 import inspect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.params import SystemParams
@@ -195,38 +195,23 @@ def ensure_warm_state(workload: str, config: str, params: SystemParams,
     from dataclasses import replace
 
     from repro.sim.checkpoint import (CheckpointStore, capture_state,
-                                      cache_disabled, checkpoint_key)
+                                      checkpoint_key)
 
     if warmup_mode not in ("detailed", "functional"):
         raise ValueError(f"unknown warmup_mode {warmup_mode!r}")
     if params.noc.engine != "event":
         params = replace(params, noc=replace(params.noc, engine="event"))
     store = checkpoint if checkpoint is not None else CheckpointStore()
-
-    def build_in_process() -> Dict:
-        warm = System(params, functional_noc=warmup_mode == "functional")
-        warm.attach_workload(traces)
-        if chained:
-            # Mirror the chain builder's every-barrier hold so a
-            # cache-less sampled region measures the same system state
-            # a store-built anchor restores.
-            for barriers in range(1, warmup_barriers + 1):
-                warm.run_to_quiesce(barriers, max_cycles=max_cycles)
-        else:
-            warm.run_to_quiesce(warmup_barriers, max_cycles=max_cycles)
-        return capture_state(warm, workload, config)
-
-    if cache_disabled():
-        # Nothing persists (REPRO_NO_CACHE): build the one requested
-        # image in-process and hand it straight back.
-        return build_in_process()
     key = checkpoint_key(params, workload, num_cores, seed, wl_kwargs,
                          warmup_barriers, warmup_mode, chained=chained)
     state = store.get(key)
     if state is not None:
         return state
     if not chained:
-        state = build_in_process()
+        warm = System(params, functional_noc=warmup_mode == "functional")
+        warm.attach_workload(traces)
+        warm.run_to_quiesce(warmup_barriers, max_cycles=max_cycles)
+        state = capture_state(warm, workload, config)
         store.put(key, state)
         return state
     # force: the counted lookup just said the stored entry (if any)

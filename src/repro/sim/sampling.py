@@ -404,13 +404,8 @@ def _prepare_warm_chain(point: SweepPoint, barriers: List[int],
     """Build every missing warm image for ``barriers`` in one chained
     pass (parent-side, so K regions never race K separate builds)."""
     from repro.sim.runner import ensure_warm_states, resolve_point
-    from repro.store import cache_disabled
     from repro.workloads.registry import build_trace_buffers
 
-    if cache_disabled():
-        # Nothing persists: each region will warm privately anyway, so
-        # a parent-side chain build would only double the work.
-        return
     params, wl_kwargs = resolve_point(point.workload, point.config,
                                       point.num_cores, **dict(point.kwargs))
     traces = build_trace_buffers(point.workload, num_cores=point.num_cores,

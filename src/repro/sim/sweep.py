@@ -42,9 +42,8 @@ A point's key is the SHA-256 of a canonical JSON document containing:
 Results round-trip through :meth:`SimResult.to_dict` / ``from_dict``
 as JSON payloads in the unified content-addressed store
 (:mod:`repro.store`) under ``.repro_cache/`` (override with the
-``REPRO_CACHE_DIR`` environment variable; ``REPRO_NO_CACHE`` disables
-every layer — see :func:`repro.store.cache_disabled`).  Corrupt or
-unreadable entries are treated as misses.
+``REPRO_CACHE_DIR`` environment variable).  Corrupt or unreadable
+entries are treated as misses.
 
 Determinism
 -----------
@@ -79,7 +78,7 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 from repro.sim.results import SimResult
-from repro.store import RESULT_SCHEMA_VERSION, Store, cache_disabled, cache_root
+from repro.store import RESULT_SCHEMA_VERSION, Store, cache_root
 
 #: Hard cap on points per scheduled chunk: keeps one straggling chunk
 #: from serializing a large warm-affinity group.
@@ -216,10 +215,8 @@ class ResultCache:
 
     A thin wrapper around the store's ``results`` namespace: keys map to
     content-addressed objects holding the sorted-JSON record, and
-    writes are atomic.  ``REPRO_NO_CACHE`` is honored per call (see
-    :func:`repro.store.cache_disabled`): a disabled cache reads as
-    all-miss and swallows writes, exactly like the trace and checkpoint
-    stores.
+    writes are atomic.  ``REPRO_CACHE_DIR`` is resolved per call, like
+    the trace and checkpoint stores.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -231,22 +228,9 @@ class ResultCache:
     def root(self) -> Path:
         return cache_root(self._root)
 
-    def _store(self) -> Optional[Store]:
-        """The store, or None while caching is disabled."""
-        if cache_disabled():
-            return None
-        return Store(self._root)
-
-    def path_for(self, key: str) -> Optional[Path]:
-        """The index entry file for ``key`` (its existence == cached);
-        None while caching is disabled."""
-        store = self._store()
-        return None if store is None else store.entry_path("results", key)
-
     def get(self, key: str) -> Optional[SimResult]:
         """The cached result for a key, or None (corrupt entries miss)."""
-        store = self._store()
-        data = store.get("results", key) if store is not None else None
+        data = Store(self._root).get("results", key)
         if data is not None:
             try:
                 result = SimResult.from_dict(json.loads(data))
@@ -260,17 +244,13 @@ class ResultCache:
 
     def put(self, key: str, result: SimResult) -> None:
         """Persist a result (atomic object + index-entry writes)."""
-        store = self._store()
-        if store is None:
-            return
         payload = json.dumps(result.to_dict(),
                              sort_keys=True).encode("utf-8")
-        store.set("results", key, payload)
+        Store(self._root).set("results", key, payload)
 
     def clear(self) -> int:
         """Delete every cached entry; returns the number removed."""
-        store = self._store()
-        return 0 if store is None else store.clear("results")
+        return Store(self._root).clear("results")
 
 
 def _resolve_cache(cache) -> Optional[ResultCache]:
@@ -528,7 +508,7 @@ def _plan(pending: _Items, workers: int
     ckpt = None
     for group_id, items in groups.items():
         warm = group_id if isinstance(group_id, str) else None
-        if warm is not None and len(items) > size and not cache_disabled():
+        if warm is not None and len(items) > size:
             # The image is about to be needed by several chunks at
             # once; unless it is already stored, build it exactly once
             # up front instead of racing every chunk into a rebuild.

@@ -93,17 +93,6 @@ def cache_root(root: Union[str, Path, None] = None) -> Path:
     return Path(root)
 
 
-def cache_disabled() -> bool:
-    """Whether ``REPRO_NO_CACHE`` turns off every on-disk cache layer.
-
-    Resolved per call, so flipping the variable mid-process takes effect
-    immediately.  The result cache, trace cache, checkpoint store and
-    the sweep's warm-build planning all consult it, so ``cache=True``
-    under ``REPRO_NO_CACHE`` degrades to a no-op in every namespace.
-    """
-    return bool(os.environ.get("REPRO_NO_CACHE"))
-
-
 def warn_fallback(namespace: str, key: str, reason: str) -> None:
     """The single untrusted-entry warning path for every namespace."""
     warnings.warn(

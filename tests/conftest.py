@@ -17,6 +17,18 @@ def pytest_collection_modifyitems(items) -> None:
         item.add_marker(pytest.mark.quick)
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _session_store(tmp_path_factory):
+    """Point ``REPRO_CACHE_DIR`` at a store private to this session, so
+    no test reads or writes the checkout's ``.repro_cache/`` (and no
+    golden test replays an entry other code wrote).  A test's own
+    ``monkeypatch.setenv`` still wins for that test."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR",
+                     str(tmp_path_factory.mktemp("store")))
+        yield
+
+
 @pytest.fixture
 def many_cpus(monkeypatch) -> int:
     """Report 8 CPUs, so a sweep launches the multi-worker pool it asks

@@ -24,7 +24,7 @@ from repro.sim.checkpoint import (
     restore_system,
 )
 from repro.sim.config import bench_kwargs
-from repro.sim.runner import resolve_point, run_workload
+from repro.sim.runner import ensure_warm_states, resolve_point, run_workload
 from repro.sim.statsdump import dump_stats
 from repro.sim.system import System
 from repro.sim.sweep import SweepPoint, point_key
@@ -183,11 +183,38 @@ class TestWarmRun:
 
 
 class TestWindowValidation:
-    def test_warmup_past_the_trace_end_raises(self, monkeypatch) -> None:
+    def test_warmup_past_the_trace_end_raises(self, tmp_path,
+                                              monkeypatch) -> None:
         from repro.common.errors import ConfigError
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         with pytest.raises(ConfigError, match="too few barriers"):
             run_workload(**FAST, config="baseline", warmup_barriers=99)
+
+
+class TestChainedImages:
+    @pytest.mark.parametrize("mode", ["functional", "detailed"])
+    def test_anchor_image_is_canonical(self, tmp_path, mode) -> None:
+        """The chain builder holds and quiesces at every barrier, so the
+        anchor-3 image is the same bytes whether it is built in one pass
+        with anchors 1 and 2, alone, or chained from a stored anchor."""
+        params, wl_kwargs = resolve_point(FAST["workload"], "ordpush",
+                                          FAST["num_cores"],
+                                          iters=FAST["iters"])
+        traces = build_trace_buffers(FAST["workload"],
+                                     num_cores=FAST["num_cores"],
+                                     seed=FAST["seed"], **wl_kwargs)
+        orders = {"one-pass": [[1, 2, 3]], "alone": [[3]],
+                  "from-1": [[1], [3]], "from-2": [[2], [3]]}
+        digests = {}
+        for name, requests in orders.items():
+            for barriers in requests:
+                keys = ensure_warm_states(
+                    FAST["workload"], "ordpush", params, traces,
+                    FAST["num_cores"], FAST["seed"], wl_kwargs, barriers,
+                    mode, CheckpointStore(tmp_path / name))
+            digests[name] = Store(tmp_path / name).entry(
+                "ckpt", keys[3])["digest"]
+        assert len(set(digests.values())) == 1, digests
 
 
 class TestStoreRobustness:
@@ -240,13 +267,6 @@ class TestStoreRobustness:
         with pytest.warns(RuntimeWarning, match="schema"):
             rebuilt = run_workload(**self._warm_kwargs(store))
         assert rebuilt.to_dict() == clean.to_dict()
-
-    def test_no_cache_env_disables_the_store(self, monkeypatch) -> None:
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        store = CheckpointStore()
-        assert store.path_for("deadbeef") is None
-        store.put("deadbeef", {"version": CKPT_SCHEMA_VERSION})
-        assert store.get("deadbeef") is None
 
 
 class TestKeying:

@@ -47,8 +47,8 @@ class TestCacheRoot:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert ResultCache().root == tmp_path
         assert Store().root == tmp_path
-        ckpt_entry = CheckpointStore().path_for("a" * 64)
-        assert ckpt_entry is not None and tmp_path in ckpt_entry.parents
+        CheckpointStore().put("a" * 64, {})
+        assert Store(tmp_path).entry_path("ckpt", "a" * 64).is_file()
 
 
 class TestObjectStore:

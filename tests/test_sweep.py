@@ -18,7 +18,7 @@ from repro.sim.sweep import (
     run_point,
     run_sweep,
 )
-from repro.store import RESULT_SCHEMA_VERSION
+from repro.store import RESULT_SCHEMA_VERSION, Store
 from repro.workloads import registry
 
 #: one fast simulation point (~tens of milliseconds)
@@ -141,11 +141,12 @@ class TestResultCache:
         point = SweepPoint.make("pathfinder", "noprefetch", **FAST)
         key = point_key(point)
         run_point(point, cache=cache)
-        cache.path_for(key).write_text("{not json", encoding="utf-8")
+        entry = Store(tmp_path).entry_path("results", key)
+        entry.write_text("{not json", encoding="utf-8")
         result = run_point(point, cache=cache)
         assert result.cycles > 0
         # the corrupt file was rewritten with a valid record
-        assert json.loads(cache.path_for(key).read_text())
+        assert json.loads(entry.read_text())
 
     def test_clear_removes_entries(self, tmp_path) -> None:
         cache = ResultCache(tmp_path)

@@ -219,7 +219,6 @@ class TestCrashResume:
             raise SystemExit("sweep survived the kill")
         """)
         env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
-        env.pop("REPRO_NO_CACHE", None)
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, timeout=120)
         assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
@@ -349,31 +348,3 @@ class TestDependencyPlanning:
         serial = run_sweep(points, jobs=1, cache=False)
         assert [r.to_dict() for r in parallel] == [
             r.to_dict() for r in serial]
-
-
-class TestNoCacheConsistency:
-    def test_result_cache_honors_repro_no_cache(self, tmp_path,
-                                                monkeypatch) -> None:
-        """cache=<ResultCache> under REPRO_NO_CACHE degrades to a
-        no-op exactly like the trace and checkpoint stores: nothing
-        written, every lookup a miss (satellite acceptance)."""
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        cache = ResultCache(tmp_path)
-        point = SweepPoint.make("pathfinder", "noprefetch", seed=81, **FAST)
-        first = run_sweep([point], cache=cache)
-        second = run_sweep([point], cache=cache)
-        assert cache.hits == 0 and cache.misses == 2
-        assert not list(tmp_path.rglob("*.json"))
-        assert cache.path_for(point_key(point)) is None
-        assert first[0].to_dict() == second[0].to_dict()
-
-    def test_reenabling_restores_the_store(self, tmp_path,
-                                           monkeypatch) -> None:
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        cache = ResultCache(tmp_path)
-        point = SweepPoint.make("pathfinder", "noprefetch", seed=82, **FAST)
-        run_sweep([point], cache=cache)
-        assert not list(tmp_path.rglob("*.json"))
-        monkeypatch.delenv("REPRO_NO_CACHE")
-        run_sweep([point], cache=cache)
-        assert len(list(tmp_path.glob("index/results/*.json"))) == 1

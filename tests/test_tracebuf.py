@@ -16,6 +16,7 @@ from repro.cpu.tracebuf import (COMPILE_CHUNK, TraceBuffer, TraceCache,
 from repro.cpu.traces import BARRIER, MemAccess
 from repro.sim.runner import run_system, run_workload
 from repro.sim.config import make_params
+from repro.store import Store
 from repro.workloads.registry import build_trace_buffers, build_traces
 
 RECORDS = [
@@ -154,18 +155,11 @@ class TestTraceCache:
         assert (reader.builds, reader.disk_hits) == (0, 1)
         assert loaded == built
 
-    def test_no_cache_env_disables_disk_layer(self, tmp_path,
-                                              monkeypatch) -> None:
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        cache = TraceCache(tmp_path)
-        build_trace_buffers("mv", 4, seed=2, cache=cache, rows_per_core=4)
-        assert not list(tmp_path.glob("**/*"))  # nothing touched disk
-
     def test_corrupt_file_rebuilds(self, tmp_path) -> None:
         cache = TraceCache(tmp_path)
         build_trace_buffers("mv", 4, seed=2, cache=cache, rows_per_core=4)
         key = trace_key("mv", 4, 2, {"rows_per_core": 4})
-        cache.path_for(key).write_bytes(b"garbage")
+        Store(tmp_path).entry_path("traces", key).write_bytes(b"garbage")
         fresh = TraceCache(tmp_path)
         build_trace_buffers("mv", 4, seed=2, cache=fresh, rows_per_core=4)
         assert fresh.builds == 1 and fresh.disk_hits == 0
