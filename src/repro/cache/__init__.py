@@ -5,11 +5,10 @@ from repro.cache.llc import LLCSlice
 from repro.cache.memory import MemoryController
 from repro.cache.mshr import MSHR, MSHRFile
 from repro.cache.private_cache import PrivateCache
-from repro.cache.sram import CacheArray, CacheLine
+from repro.cache.sram import CacheArray
 
 __all__ = [
     "CacheArray",
-    "CacheLine",
     "DirState",
     "LLCSlice",
     "MemoryController",

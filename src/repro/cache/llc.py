@@ -27,15 +27,15 @@ free of message races beyond the ones handled explicitly.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import ProtocolError
+from repro.common.errors import ProtocolError, SimulationError
 from repro.common.messages import CoherenceMsg, MsgType, TrafficClass
 from repro.common.params import SystemParams
 from repro.common.scheduler import Scheduler
 from repro.common.stats import StatGroup
 from repro.cache.coherence import STATE_CODE, DirState
-from repro.cache.sram import CacheArray, CacheLine
+from repro.cache.sram import CacheArray
 
 
 def _mask_tiles(mask: int) -> List[int]:
@@ -592,16 +592,17 @@ class LLCSlice:
     def _install_array_line(self, line_addr: int) -> None:
         if line_addr in self.array._slot_of:
             return
+        directory = self._dir
 
-        def evictable(line: CacheLine) -> bool:
-            victim = self._dir.get(line.line_addr)
+        def evictable(victim_addr: int) -> bool:
+            victim = directory.get(victim_addr)
             return (victim is None
                     or (not victim.busy and not victim.filling
                         and not victim.sharers_mask
                         and victim.owner is None))
 
         try:
-            victim = self.array.evict_victim(line_addr, evictable)
+            victim = self.array.evict_flat(line_addr, evictable=evictable)
         except LookupError:
             victim = self._back_invalidate(line_addr)
             if victim is None:
@@ -610,40 +611,45 @@ class LLCSlice:
                 # (counted as capacity overcommit) rather than deadlock.
                 return
         if victim is not None:
-            self._dir.pop(victim.line_addr, None)
+            directory.pop(victim[0], None)
             self._c_llc_evictions.value += 1
         self.array.install_flat(line_addr, _DIR_S)
 
-    def _back_invalidate(self, line_addr: int) -> Optional[CacheLine]:
+    def _back_invalidate(self, line_addr: int
+                         ) -> Optional[Tuple[int, int, int, int]]:
         """Evict a line still cached above: fire-and-forget INVs.
 
-        The directory entry is removed immediately; the in-flight acks
-        are absorbed by the orphan-ack path and any racing PUTM (no
-        entry) is forwarded to memory, so the line's latest version is
-        never lost.
+        Returns the evicted line's record (see ``CacheArray.evict_flat``)
+        or None.  The directory entry is removed immediately by the
+        caller; the in-flight acks are absorbed by the orphan-ack path
+        and any racing PUTM (no entry) is forwarded to memory, so the
+        line's latest version is never lost.
         """
-        def evictable(line: CacheLine) -> bool:
-            victim = self._dir.get(line.line_addr)
+        directory = self._dir
+
+        def evictable(victim_addr: int) -> bool:
+            victim = directory.get(victim_addr)
             return (victim is None
                     or (not victim.busy and not victim.filling
                         and victim.state is not DirState.P))
 
         try:
-            victim = self.array.evict_victim(line_addr, evictable)
+            victim = self.array.evict_flat(line_addr, evictable=evictable)
         except LookupError:
             self.stats.inc("llc_capacity_overcommit")
             return None
         if victim is None:
             return None
-        entry = self._dir.get(victim.line_addr)
+        victim_addr = victim[0]
+        entry = directory.get(victim_addr)
         if entry is not None:
-            version = self._bump_version(victim.line_addr)
+            version = self._bump_version(victim_addr)
             targets_mask = entry.sharers_mask
             if entry.owner is not None:
                 targets_mask |= 1 << entry.owner
             for target in _mask_tiles(targets_mask):
                 self._send(CoherenceMsg(
-                    MsgType.INV, victim.line_addr, self.tile, (target,),
+                    MsgType.INV, victim_addr, self.tile, (target,),
                     requester=self.tile, payload=version))
             self.stats.inc("llc_back_invalidations")
         return victim
@@ -727,3 +733,57 @@ class LLCSlice:
     def directory_entry(self, line_addr: int) -> Optional[DirEntry]:
         """Inspection helper for tests."""
         return self._dir.get(line_addr)
+
+    # ------------------------------------------------------------------
+    # checkpoint state (see repro.sim.checkpoint)
+    # ------------------------------------------------------------------
+
+    def state(self) -> Dict:
+        """The quiesced slice as JSON data: array, directory, knob state.
+
+        Raises SimulationError on transient state — an open coalescing
+        window or a directory entry mid-transaction (busy, filling,
+        queued, awaiting acks or in state P).
+        """
+        if self._coalescing:
+            raise SimulationError(
+                f"slice {self.tile}: coalescing window open at capture")
+        entries = []
+        for line_addr, entry in self._dir.items():
+            if (entry.busy or entry.filling or entry.queue
+                    or entry.awaiting_mask or entry.push_acks
+                    or entry.pending_grant is not None
+                    or entry.state is DirState.P):
+                raise SimulationError(
+                    f"slice {self.tile}: directory entry 0x{line_addr:x} "
+                    "has transient state at capture (system not quiesced)")
+            entries.append([line_addr, entry.state.name, entry.sharers_mask,
+                            -1 if entry.owner is None else entry.owner,
+                            entry.resident])
+        return {
+            "array": self.array.state(),
+            "dir": entries,
+            "next_free": self._next_free,
+            "pdrmap": sorted(self.pdrmap),
+            "push_shadow": [[line, expiry, sorted(dests)]
+                            for line, (expiry, dests)
+                            in self._push_shadow.items()],
+        }
+
+    def restore_state(self, snap: Dict) -> None:
+        """Reload a :meth:`state` snapshot, mutating containers in place."""
+        self.array.restore_state(snap["array"])
+        self._dir.clear()
+        for line_addr, state, sharers_mask, owner, resident in snap["dir"]:
+            entry = DirEntry(line_addr)
+            entry.state = DirState[state]
+            entry.sharers_mask = sharers_mask
+            entry.owner = None if owner < 0 else owner
+            entry.resident = resident
+            self._dir[line_addr] = entry
+        self._next_free = snap["next_free"]
+        self.pdrmap.clear()
+        self.pdrmap.update(snap["pdrmap"])
+        self._push_shadow.clear()
+        for line, expiry, dests in snap["push_shadow"]:
+            self._push_shadow[line] = (expiry, frozenset(dests))

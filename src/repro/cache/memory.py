@@ -59,3 +59,28 @@ class MemoryController:
         busy = self._next_start - now
         self.stats.set("queue_depth_cycles", busy)
         return start
+
+    def state(self) -> float:
+        """The token clock: the earliest start of the next service slot."""
+        return self._next_start
+
+    def restore_state(self, next_start: float) -> None:
+        """Reload the token clock.
+
+        A functional warm image places its controllers at the corners
+        of the canonical mesh; a detailed fabric may place them on
+        other tiles (ring and cmesh at 16 cores use tiles 0, 4, 8 and
+        12, not 0, 3, 12 and 15), and ``System.restore_state`` skips
+        the clocks of tiles without a controller, leaving those
+        controllers at 0.  That equals restoring them whenever every
+        captured clock is at most the capture cycle, since a slot then
+        starts at ``max(now, clock) == now`` either way.  Reads keep
+        that bound: a read's reply leaves ``latency`` cycles after its
+        slot starts, ``latency`` exceeds the service gap, and the
+        quiesce drains every reply.  A writeback has no reply, so one
+        that races an LLC eviction at the very end of the warm phase
+        could leave a clock up to a service gap per queued writeback
+        past the capture cycle; ``tests/test_checkpoint.py`` pins the
+        bound on images from every fabric.
+        """
+        self._next_start = next_start

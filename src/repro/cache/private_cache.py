@@ -34,7 +34,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.common.addr import line_of
-from repro.common.errors import ProtocolError
+from repro.common.errors import ProtocolError, SimulationError
 from repro.common.messages import CoherenceMsg, MsgType, TrafficClass
 from repro.common.params import SystemParams
 from repro.common.scheduler import Scheduler
@@ -549,5 +549,46 @@ class PrivateCache:
 
     def read_value(self, byte_addr: int) -> Optional[int]:
         """The payload version currently readable here (tests/debug)."""
-        line = self.l2.lookup(line_of(byte_addr), touch=False)
-        return None if line is None else line.payload
+        record = self.l2.record(line_of(byte_addr))
+        return None if record is None else record[2]
+
+    # ------------------------------------------------------------------
+    # checkpoint state (see repro.sim.checkpoint)
+    # ------------------------------------------------------------------
+
+    def state(self) -> Dict:
+        """The quiesced hierarchy as JSON data; raises SimulationError
+        while an MSHR (or a demand access waiting for one) is busy."""
+        if len(self.mshrs) or self._mshr_waiters:
+            raise SimulationError(
+                f"tile {self.tile}: MSHRs busy at checkpoint capture "
+                "(system not quiesced)")
+        snap = {
+            "l1": self.l1.state(),
+            "l2": self.l2.state(),
+            "last_inv_version": sorted(self._last_inv_version.items()),
+            "inv_pending": sorted(self._inv_pending),
+            "tpc": self.tpc,
+            "upc": self.upc,
+        }
+        unit = self.prefetcher
+        if unit is not None:
+            snap["bingo"] = unit.bingo.state()
+            snap["stride"] = unit.stride.state()
+        return snap
+
+    def restore_state(self, snap: Dict) -> None:
+        """Reload a :meth:`state` snapshot, mutating containers in place."""
+        self.l1.restore_state(snap["l1"])
+        self.l2.restore_state(snap["l2"])
+        self._last_inv_version.clear()
+        self._last_inv_version.update(
+            (addr, version) for addr, version in snap["last_inv_version"])
+        self._inv_pending.clear()
+        self._inv_pending.update(snap["inv_pending"])
+        self.tpc = snap["tpc"]
+        self.upc = snap["upc"]
+        unit = self.prefetcher
+        if unit is not None and "bingo" in snap:
+            unit.bingo.restore_state(snap["bingo"])
+            unit.stride.restore_state(snap["stride"])

@@ -12,19 +12,13 @@ Flat storage
 Lines are stored as parallel flat arrays indexed by *slot*
 (``set_index * assoc + way``): integer tags, byte-coded states (see
 :data:`repro.cache.coherence.STATE_CODE`), payload versions, bit-packed
-status flags, and LRU recency stamps.  Controllers drive their hot
-paths through the slot-level API (:meth:`probe`, :meth:`install_flat`,
-:meth:`evict_flat`, :meth:`clear_slot`, plus direct reads of the
-parallel arrays), which never materializes a Python object per line.
-
-The object API (:meth:`lookup` / :meth:`install` / :meth:`evict_victim`
-returning :class:`CacheLine`) is preserved on top of the same storage
-for tests, debug helpers, and predicate-based eviction: a ``CacheLine``
-is a *view* whose attribute properties read and write the flat arrays
-directly, so both APIs always agree.  Evicting or removing a line
-detaches its view — the object keeps a final copy of the line's fields
-(callers inspect ``victim.dirty`` / ``victim.payload`` after eviction)
-and can be re-installed later.
+status flags, and LRU recency stamps.  The array has one API, at slot
+level: :meth:`probe`, :meth:`install_flat`, :meth:`evict_flat` (which
+also takes a predicate on line addresses), :meth:`clear_slot`, the
+read-only :meth:`record`, plus direct reads of the parallel arrays on
+controller hot paths.  No Python object is materialized per line.
+:meth:`state` / :meth:`restore_state` snapshot and reload the occupied
+slots for checkpoints.
 
 Replacement is true LRU, as in the paper's gem5 Ruby caches, folded
 into the array as a globally unique incrementing stamp per touch
@@ -38,96 +32,15 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.params import CacheParams
-from repro.cache.coherence import STATE_CODE, STATE_OBJS
 
-#: bit-packed CacheLine status flags (the _flags bytearray)
+#: bit-packed line status flags (the _flags bytearray)
 F_DIRTY = 1
+#: paper §III-D status bits for the pause knob
 F_PUSHED = 2
 F_ACCESSED = 4
+#: set while a transaction (e.g. upgrade) pins the line in place
 F_BLOCKED = 8
 F_PREFETCHED = 16
-
-
-def _flag_property(bit: int) -> property:
-    """A CacheLine boolean backed by one bit of the flags byte."""
-    mask = 0xFF ^ bit
-
-    def fget(self) -> bool:
-        arr = self._array
-        flags = self._flags if arr is None else arr._flags[self._slot]
-        return bool(flags & bit)
-
-    def fset(self, value: bool) -> None:
-        arr = self._array
-        if arr is None:
-            self._flags = (self._flags | bit) if value else (
-                self._flags & mask)
-        else:
-            slot = self._slot
-            flags = arr._flags[slot]
-            arr._flags[slot] = (flags | bit) if value else (flags & mask)
-
-    return property(fget, fset)
-
-
-class CacheLine:
-    """One cache line: a view over a resident slot, or a free-standing
-    record before installation / after eviction."""
-
-    __slots__ = ("_array", "_slot", "_line_addr", "_state", "_payload",
-                 "_flags")
-
-    def __init__(self, line_addr: int, state, payload: int = 0) -> None:
-        self._array: Optional["CacheArray"] = None
-        self._slot = -1
-        self._line_addr = line_addr
-        self._state = STATE_CODE[state]
-        self._payload = payload
-        self._flags = 0
-
-    @property
-    def line_addr(self) -> int:
-        return self._line_addr
-
-    @property
-    def state(self):
-        arr = self._array
-        code = self._state if arr is None else arr._state[self._slot]
-        return STATE_OBJS[code]
-
-    @state.setter
-    def state(self, value) -> None:
-        code = STATE_CODE[value]
-        arr = self._array
-        if arr is None:
-            self._state = code
-        else:
-            arr._state[self._slot] = code
-
-    @property
-    def payload(self) -> int:
-        arr = self._array
-        return self._payload if arr is None else arr._payload[self._slot]
-
-    @payload.setter
-    def payload(self, value: int) -> None:
-        arr = self._array
-        if arr is None:
-            self._payload = value
-        else:
-            arr._payload[self._slot] = value
-
-    dirty = _flag_property(F_DIRTY)
-    #: paper §III-D status bits for the pause knob
-    pushed = _flag_property(F_PUSHED)
-    accessed = _flag_property(F_ACCESSED)
-    #: set while a transaction (e.g. upgrade) pins this line in place
-    blocked = _flag_property(F_BLOCKED)
-    prefetched = _flag_property(F_PREFETCHED)
-
-    def __repr__(self) -> str:
-        return (f"CacheLine(0x{self.line_addr:x}, {self.state}, "
-                f"dirty={self.dirty}, pushed={self.pushed})")
 
 
 class CacheArray:
@@ -152,19 +65,23 @@ class CacheArray:
         self._free: List[List[int]] = [
             list(range(base, base + self.assoc))
             for base in range(0, slots, self.assoc)]
-        #: lazily materialized per-slot CacheLine views (object API)
-        self._views: List[Optional[CacheLine]] = [None] * slots
 
     def set_index(self, line_addr: int) -> int:
         return line_addr & self._set_mask
 
-    # ------------------------------------------------------------------
-    # slot-level API (controller hot paths; no objects)
-    # ------------------------------------------------------------------
-
     def probe(self, line_addr: int) -> int:
         """The line's slot, or -1.  Never updates recency."""
         return self._slot_of.get(line_addr, -1)
+
+    def record(self, line_addr: int) -> Optional[Tuple[int, int, int, int]]:
+        """The resident line's ``(line_addr, state_code, payload,
+        flags)`` — the tuple :meth:`evict_flat` returns — or None.
+        Never updates recency."""
+        slot = self._slot_of.get(line_addr, -1)
+        if slot < 0:
+            return None
+        return (line_addr, self._state[slot], self._payload[slot],
+                self._flags[slot])
 
     def touch_slot(self, slot: int) -> None:
         """Record a hit on ``slot`` for replacement."""
@@ -195,26 +112,32 @@ class CacheArray:
         # call at C level.
         return min(candidates, key=self._stamps.__getitem__)
 
-    def evict_flat(self, line_addr: int, skip_blocked: bool = False
+    def evict_flat(self, line_addr: int, skip_blocked: bool = False,
+                   evictable: Optional[Callable[[int], bool]] = None
                    ) -> Optional[Tuple[int, int, int, int]]:
-        """Free a way in ``line_addr``'s set without materializing views.
+        """Free a way in ``line_addr``'s set.
 
         Returns None when a way was already free, else the evicted
-        line's ``(line_addr, state_code, payload, flags)``; raises
-        LookupError when every line is pinned (``skip_blocked``).
+        line's ``(line_addr, state_code, payload, flags)``.  The victim
+        is the least recently used candidate: ``skip_blocked`` drops
+        transaction-pinned lines, and ``evictable`` (a predicate on a
+        resident line's address) drops the lines it rejects.  Raises
+        LookupError when no candidate is left (the caller decides what
+        to do, e.g. drop a pushed line).
         """
         index = line_addr & self._set_mask
         if self._free[index]:
             return None
         base = index * self.assoc
-        slots = range(base, base + self.assoc)
+        candidates = range(base, base + self.assoc)
         if skip_blocked:
             flags = self._flags
-            candidates = [s for s in slots if not flags[s] & F_BLOCKED]
-            if not candidates:
-                raise LookupError("no evictable line in set")
-        else:
-            candidates = list(slots)
+            candidates = [s for s in candidates if not flags[s] & F_BLOCKED]
+        if evictable is not None:
+            tags = self._tags
+            candidates = [s for s in candidates if evictable(tags[s])]
+        if not candidates:
+            raise LookupError("no evictable line in set")
         slot = self._pick_victim(candidates)
         record = (self._tags[slot], self._state[slot],
                   self._payload[slot], self._flags[slot])
@@ -228,7 +151,7 @@ class CacheArray:
         nobody reads; skipping the record tuple (four element reads)
         measurably cheapens the highest-churn storage
         traffic in the hierarchy.  Victim choice is identical to
-        :meth:`evict_flat` with ``skip_blocked=False``.
+        :meth:`evict_flat` with no filter.
         """
         index = line_addr & self._set_mask
         if self._free[index]:
@@ -237,106 +160,53 @@ class CacheArray:
         self.clear_slot(self._pick_victim(range(base, base + self.assoc)))
 
     def clear_slot(self, slot: int) -> None:
-        """Invalidate ``slot`` (detaching its view, if one exists)."""
-        view = self._views[slot]
-        if view is not None:
-            view._state = self._state[slot]
-            view._payload = self._payload[slot]
-            view._flags = self._flags[slot]
-            view._array = None
-            view._slot = -1
-            self._views[slot] = None
-        addr = self._tags[slot]
-        del self._slot_of[addr]
+        """Invalidate ``slot``."""
+        del self._slot_of[self._tags[slot]]
         self._tags[slot] = -1
         self._free[slot // self.assoc].append(slot)
-
-    # ------------------------------------------------------------------
-    # object API (tests, debug, predicate-based eviction)
-    # ------------------------------------------------------------------
-
-    def _view(self, slot: int) -> CacheLine:
-        view = self._views[slot]
-        if view is None:
-            view = CacheLine.__new__(CacheLine)
-            view._array = self
-            view._slot = slot
-            view._line_addr = self._tags[slot]
-            view._state = 0
-            view._payload = 0
-            view._flags = 0
-            self._views[slot] = view
-        return view
-
-    def lookup(self, line_addr: int, touch: bool = True
-               ) -> Optional[CacheLine]:
-        """The resident line, or None.  Updates recency when ``touch``."""
-        slot = self._slot_of.get(line_addr, -1)
-        if slot < 0:
-            return None
-        if touch:
-            self.touch_slot(slot)
-        return self._view(slot)
-
-    def install(self, line: CacheLine) -> None:
-        """Place a line; the caller must have ensured a free way exists.
-
-        The passed object becomes the slot's bound view (``lookup``
-        returns it by identity while the line stays resident).
-        """
-        slot = self.install_flat(line._line_addr, line._state,
-                                 line._payload, line._flags)
-        line._array = self
-        line._slot = slot
-        self._views[slot] = line
-
-    def evict_victim(self, line_addr: int,
-                     evictable: Optional[Callable[[CacheLine], bool]] = None,
-                     skip_blocked: bool = False) -> Optional[CacheLine]:
-        """Free a way in ``line_addr``'s set; returns the evicted line.
-
-        Returns None when a way was already free (nothing evicted) and
-        raises LookupError when every resident line fails ``evictable``
-        (the caller decides what to do — e.g. drop a pushed line).
-        ``evictable=None`` means every resident line is fair game;
-        ``skip_blocked`` excludes transaction-pinned lines without the
-        cost of a per-line predicate call.
-        """
-        index = line_addr & self._set_mask
-        if self._free[index]:
-            return None
-        base = index * self.assoc
-        slots = range(base, base + self.assoc)
-        if skip_blocked:
-            flags = self._flags
-            candidates = [s for s in slots if not flags[s] & F_BLOCKED]
-        elif evictable is None:
-            candidates = list(slots)
-        else:
-            candidates = [s for s in slots if evictable(self._view(s))]
-        if not candidates:
-            raise LookupError("no evictable line in set")
-        slot = self._pick_victim(candidates)
-        victim = self._view(slot)
-        self.clear_slot(slot)
-        return victim
-
-    def remove(self, line_addr: int) -> Optional[CacheLine]:
-        """Invalidate a specific line if resident."""
-        slot = self._slot_of.get(line_addr, -1)
-        if slot < 0:
-            return None
-        victim = self._view(slot)
-        self.clear_slot(slot)
-        return victim
 
     def has_free_way(self, line_addr: int) -> bool:
         return bool(self._free[line_addr & self._set_mask])
 
-    def resident_lines(self) -> List[CacheLine]:
-        """All resident lines (test/debug helper)."""
-        return [self._view(slot) for slot in self._slot_of.values()]
-
     def occupancy(self) -> int:
         return len(self._slot_of)
 
+    # ------------------------------------------------------------------
+    # checkpoint state (see repro.sim.checkpoint)
+    # ------------------------------------------------------------------
+
+    def state(self) -> Dict:
+        """Compact occupied-slot snapshot (JSON-safe)."""
+        state, payload = self._state, self._payload
+        flags, stamps = self._flags, self._stamps
+        return {
+            "stamp": self._stamp,
+            "lines": [[addr, slot, state[slot], payload[slot], flags[slot],
+                       stamps[slot]]
+                      for addr, slot in self._slot_of.items()],
+            "free": [list(free) for free in self._free],
+        }
+
+    def restore_state(self, snap: Dict) -> None:
+        """Reload a :meth:`state` snapshot.
+
+        Every container is mutated in place: controllers hold bound
+        references (e.g. ``_slot_of.get``) into them.
+        """
+        slots = self.num_sets * self.assoc
+        self._stamp = snap["stamp"]
+        self._slot_of.clear()
+        self._tags[:] = [-1] * slots
+        self._state[:] = bytes(slots)
+        self._payload[:] = [0] * slots
+        self._flags[:] = bytes(slots)
+        self._stamps[:] = [0] * slots
+        for addr, slot, state, payload, flags, stamp in snap["lines"]:
+            self._slot_of[addr] = slot
+            self._tags[slot] = addr
+            self._state[slot] = state
+            self._payload[slot] = payload
+            self._flags[slot] = flags
+            self._stamps[slot] = stamp
+        for dst, src in zip(self._free, snap["free"]):
+            dst[:] = src

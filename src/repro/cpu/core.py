@@ -19,8 +19,9 @@ the flat columns without touching a record object per access.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
+from repro.common.errors import SimulationError
 from repro.common.scheduler import Scheduler
 from repro.common.stats import StatGroup
 from repro.cpu.tracebuf import TraceBuffer
@@ -63,6 +64,23 @@ class Barrier:
         held, self.held = self.held, None
         for waiter in held or ():
             waiter.resume_from_barrier()
+
+    def state(self) -> Dict:
+        """The held crossing as JSON data: the crossing count and the
+        parked cores' tiles in arrival order."""
+        if self.held is None:
+            raise SimulationError(
+                "capture_state() requires a system held at a quiesced "
+                "barrier (run run_to_quiesce first)")
+        return {"crossings": self.crossings,
+                "arrival_order": [core.tile for core in self.held]}
+
+    def restore_state(self, snap: Dict, cores: List["Core"]) -> None:
+        """Re-park ``cores`` (indexed by tile) as :meth:`state`'s held
+        crossing; :meth:`release_held` then resumes them in the
+        recorded arrival order."""
+        self.crossings = snap["crossings"]
+        self.held = [cores[tile] for tile in snap["arrival_order"]]
 
 
 class Core:
@@ -182,6 +200,17 @@ class Core:
         """Leave the barrier and step again this cycle."""
         self._at_barrier = False
         self._schedule_step(0)
+
+    def state(self) -> List[int]:
+        """Trace position as JSON data: ``[cursor, last issue cycle,
+        instructions]`` (a parked core has nothing outstanding)."""
+        return [self._cursor, self._last_issue, self.instructions]
+
+    def restore_state(self, snap: List[int]) -> None:
+        """Reload a :meth:`state` snapshot; the row at the cursor is
+        latched afresh on the next step."""
+        self._cursor, self._last_issue, self.instructions = snap
+        self._loaded = False
 
     def _finish(self) -> None:
         self.finished = True

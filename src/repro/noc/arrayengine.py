@@ -78,7 +78,7 @@ from repro.common.scheduler import NEVER, Scheduler
 from repro.common.stats import StatGroup
 from repro.noc.filter import InNetworkFilter
 from repro.noc.network import (DEADLOCK_WATCHDOG_CYCLES,
-                               flat_link_load_matrix)
+                               flat_link_load_matrix, restore_flat)
 from repro.noc.packet import Packet
 from repro.noc.routing import Direction, RoutingTables
 from repro.noc.topology import build_topology
@@ -966,6 +966,36 @@ class ArrayNetwork:
     def link_load_matrix(self) -> Dict[Tuple[int, str], int]:
         return flat_link_load_matrix(
             self._link_load, self._ll_shift, self.topology.port_name)
+
+    # ------------------------------------------------------------------
+    # checkpoint state (see repro.sim.checkpoint)
+    # ------------------------------------------------------------------
+
+    def state(self) -> Dict:
+        """Always raises: warm images are built on the event reference
+        engine (``ensure_warm_state`` forces it), and capturing here
+        would bake this backend's statistical divergences into a
+        shared image."""
+        raise SimulationError(
+            "warm-state capture requires the event NoC engine")
+
+    def restore_state(self, snap: Dict, cycle: int) -> None:
+        """Reload an event engine's :meth:`Network.state` snapshot.
+
+        This backend shares the event engine's flat accounting layouts,
+        so an event-built image restores directly; the per-router stats
+        and port counters have no analogue here (there are no router
+        objects) and are dropped.  A functional image only anchors the
+        deadlock watchdog at ``cycle``.
+        """
+        if snap.get("functional"):
+            self._last_progress = cycle
+            return
+        self.stats.restore_state(snap["stats"])
+        restore_flat(self._traffic_flits, snap, "traffic_flits")
+        restore_flat(self._link_load, snap, "link_load")
+        self._last_progress = snap["last_progress"]
+        self._ni_rr[:] = snap["rr_vnet"]
 
     def __repr__(self) -> str:
         return (f"ArrayNetwork(routers={self._num_routers}, "

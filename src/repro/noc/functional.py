@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.common.errors import SimulationError
 from repro.common.messages import CoherenceMsg, TrafficClass
 from repro.common.scheduler import NEVER, Scheduler
 from repro.common.stats import StatGroup
@@ -146,3 +147,17 @@ class FunctionalNetwork:
     def link_load_matrix(self) -> Dict[Tuple[int, str], int]:
         return flat_link_load_matrix(
             self._link_load, self._ll_shift, self.topology.port_name)
+
+    # -- checkpoint state (see repro.sim.checkpoint) ------------------------
+
+    def state(self) -> Dict:
+        return {"functional": True}
+
+    def restore_state(self, snap: Dict, cycle: int) -> None:
+        """A functional image may continue warming here (the chained
+        capture path); the fabric carries no restorable state.  A
+        *detailed* image never restores functionally — its timing
+        context would be silently discarded."""
+        if not snap.get("functional"):
+            raise SimulationError(
+                "detailed warm images restore into detailed systems only")

@@ -56,6 +56,22 @@ def flat_link_load_matrix(link_load, shift: int,
             for key, flits in enumerate(link_load) if flits}
 
 
+def restore_flat(target, snap: Dict, field: str) -> None:
+    """Copy a checkpoint's flat accounting array into ``target`` in place.
+
+    The flat layouts depend only on the fabric (the traffic classes, the
+    router count and the radix), so an image captured with matching
+    parameters always fits; a length mismatch means a corrupt or
+    foreign image, and restoring it would misattribute every count.
+    """
+    values = snap[field]
+    if len(values) != len(target):
+        raise SimulationError(
+            f"checkpoint network {field} has {len(values)} entries, "
+            f"this fabric has {len(target)}")
+    target[:] = values
+
+
 class Network:
     """A NoC instance (any :mod:`~repro.noc.topology` fabric) bound to a
     scheduler."""
@@ -377,3 +393,59 @@ class Network:
         """Per-link flit counts keyed by (router, port name) — Fig 14."""
         return flat_link_load_matrix(
             self._link_load, self._ll_shift, self.topology.port_name)
+
+    # ------------------------------------------------------------------
+    # checkpoint state (see repro.sim.checkpoint)
+    # ------------------------------------------------------------------
+
+    def state(self) -> Dict:
+        """The quiesced fabric's accounting as JSON data.
+
+        Capture happens with nothing in flight, so buffers, VCs and
+        links need no snapshot; an in-network filter still holding an
+        entry means the fabric is not quiesced and raises
+        SimulationError.
+        """
+        self.flush_stat_batches()
+        for router in self.routers:
+            for port in router.output_ports:
+                if port is not None and len(port.filter):
+                    raise SimulationError(
+                        f"router {router.id}: in-network filter "
+                        "non-empty at capture (system not quiesced)")
+        return {
+            "functional": False,
+            "stats": self.stats.state(),
+            "router_stats": [router.stats.state()
+                             for router in self.routers],
+            "port_flits_tx": [[port.flits_tx if port is not None else 0
+                               for port in router.output_ports]
+                              for router in self.routers],
+            "traffic_flits": list(self._traffic_flits),
+            "link_load": list(self._link_load),
+            "last_progress": self._last_progress,
+            "rr_vnet": [ni._rr_vnet for ni in self.interfaces],
+        }
+
+    def restore_state(self, snap: Dict, cycle: int) -> None:
+        """Reload a :meth:`state` snapshot taken at ``cycle``.
+
+        A functional warm image carries no fabric state: the fabric
+        starts cold and only the deadlock watchdog is anchored at the
+        restore cycle.
+        """
+        if snap.get("functional"):
+            self._last_progress = cycle
+            return
+        self.stats.restore_state(snap["stats"])
+        for router, rsnap, flits in zip(self.routers, snap["router_stats"],
+                                        snap["port_flits_tx"]):
+            router.stats.restore_state(rsnap)
+            for port, value in zip(router.output_ports, flits):
+                if port is not None:
+                    port.flits_tx = value
+        restore_flat(self._traffic_flits, snap, "traffic_flits")
+        restore_flat(self._link_load, snap, "link_load")
+        self._last_progress = snap["last_progress"]
+        for ni, rr_vnet in zip(self.interfaces, snap["rr_vnet"]):
+            ni._rr_vnet = rr_vnet

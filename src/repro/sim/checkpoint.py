@@ -12,7 +12,10 @@ This module amortizes that cost:
   entries, push shadows/PDRMap, prefetch tables, trace cursors, the
   memory controllers' token clocks, NoC accounting, the full stats tree
   — plus a *baseline* :class:`SimResult` so measured-region deltas are
-  exact;
+  exact.  Each component owns its slice of the layout through a
+  ``state()`` / ``restore_state()`` pair; :meth:`System.state` and
+  :meth:`System.restore_state` walk them, so this module reads no
+  component's internals;
 * :func:`restore_system` rebuilds a **fresh** ``System`` into that state
   and re-schedules the held cores in their recorded arrival order.
   Continuing a restored system is bit-identical to continuing the
@@ -40,11 +43,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from repro.cache.coherence import DirState
-from repro.cache.sram import CacheArray
 from repro.common.errors import SimulationError
 from repro.cpu.tracebuf import trace_key
-from repro.noc.functional import FunctionalNetwork
 from repro.sim.results import SimResult, collect_result
 from repro.store import CKPT_SCHEMA_VERSION, Store, warn_fallback
 
@@ -90,203 +90,8 @@ def checkpoint_key(params, workload: str, num_cores: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# per-component serialization (plain JSON-safe values only)
+# capture / restore
 # ---------------------------------------------------------------------------
-
-def _dump_array(arr: CacheArray) -> Dict:
-    """Compact occupied-slot snapshot of a flat :class:`CacheArray`."""
-    tags, state, payload = arr._tags, arr._state, arr._payload
-    flags, stamps = arr._flags, arr._stamps
-    return {
-        "stamp": arr._stamp,
-        "lines": [[addr, slot, state[slot], payload[slot], flags[slot],
-                   stamps[slot]]
-                  for addr, slot in arr._slot_of.items()],
-        "free": [list(free) for free in arr._free],
-    }
-
-
-def _load_array(arr: CacheArray, snap: Dict) -> None:
-    slots = arr.num_sets * arr.assoc
-    arr._stamp = snap["stamp"]
-    # Mutate every container in place: hot paths hold bound references
-    # (e.g. ``_slot_of.get``) into them.
-    arr._slot_of.clear()
-    arr._tags[:] = [-1] * slots
-    arr._state[:] = bytes(slots)
-    arr._payload[:] = [0] * slots
-    arr._flags[:] = bytes(slots)
-    arr._stamps[:] = [0] * slots
-    arr._views[:] = [None] * slots
-    for addr, slot, state, payload, flags, stamp in snap["lines"]:
-        arr._slot_of[addr] = slot
-        arr._tags[slot] = addr
-        arr._state[slot] = state
-        arr._payload[slot] = payload
-        arr._flags[slot] = flags
-        arr._stamps[slot] = stamp
-    for dst, src in zip(arr._free, snap["free"]):
-        dst[:] = src
-
-
-def _dump_private(cache) -> Dict:
-    if cache.mshrs._entries or cache._mshr_waiters:
-        raise SimulationError(
-            f"tile {cache.tile}: MSHRs busy at checkpoint capture "
-            "(system not quiesced)")
-    snap = {
-        "l1": _dump_array(cache.l1),
-        "l2": _dump_array(cache.l2),
-        "last_inv_version": sorted(cache._last_inv_version.items()),
-        "inv_pending": sorted(cache._inv_pending),
-        "tpc": cache.tpc,
-        "upc": cache.upc,
-    }
-    unit = cache.prefetcher
-    if unit is not None:
-        snap["bingo"] = unit.bingo.state()
-        snap["stride"] = unit.stride.state()
-    return snap
-
-
-def _load_private(cache, snap: Dict) -> None:
-    _load_array(cache.l1, snap["l1"])
-    _load_array(cache.l2, snap["l2"])
-    cache._last_inv_version.clear()
-    cache._last_inv_version.update(
-        (addr, version) for addr, version in snap["last_inv_version"])
-    cache._inv_pending.clear()
-    cache._inv_pending.update(snap["inv_pending"])
-    cache.tpc = snap["tpc"]
-    cache.upc = snap["upc"]
-    unit = cache.prefetcher
-    if unit is not None and "bingo" in snap:
-        unit.bingo.restore_state(snap["bingo"])
-        unit.stride.restore_state(snap["stride"])
-
-
-def _dump_slice(slc) -> Dict:
-    if slc._coalescing:
-        raise SimulationError(
-            f"slice {slc.tile}: coalescing window open at capture")
-    entries = []
-    for line_addr, entry in slc._dir.items():
-        if (entry.busy or entry.filling or entry.queue
-                or entry.awaiting_mask or entry.push_acks
-                or entry.pending_grant is not None
-                or entry.state is DirState.P):
-            raise SimulationError(
-                f"slice {slc.tile}: directory entry 0x{line_addr:x} "
-                "has transient state at capture (system not quiesced)")
-        entries.append([line_addr, entry.state.name, entry.sharers_mask,
-                        -1 if entry.owner is None else entry.owner,
-                        entry.resident])
-    return {
-        "array": _dump_array(slc.array),
-        "dir": entries,
-        "next_free": slc._next_free,
-        "pdrmap": sorted(slc.pdrmap),
-        "push_shadow": [[line, expiry, sorted(dests)]
-                        for line, (expiry, dests)
-                        in slc._push_shadow.items()],
-    }
-
-
-def _load_slice(slc, snap: Dict) -> None:
-    from repro.cache.llc import DirEntry
-    _load_array(slc.array, snap["array"])
-    slc._dir.clear()
-    for line_addr, state, sharers_mask, owner, resident in snap["dir"]:
-        entry = DirEntry(line_addr)
-        entry.state = DirState[state]
-        entry.sharers_mask = sharers_mask
-        entry.owner = None if owner < 0 else owner
-        entry.resident = resident
-        slc._dir[line_addr] = entry
-    slc._next_free = snap["next_free"]
-    slc.pdrmap.clear()
-    slc.pdrmap.update(snap["pdrmap"])
-    slc._push_shadow.clear()
-    for line, expiry, dests in snap["push_shadow"]:
-        slc._push_shadow[line] = (expiry, frozenset(dests))
-
-
-def _dump_network(network) -> Dict:
-    if isinstance(network, FunctionalNetwork):
-        return {"functional": True}
-    if getattr(network, "engine_kind", "event") != "event":
-        # ensure_warm_state always builds the warm phase on the event
-        # reference engine; capturing from another backend would bake
-        # its statistical divergences into a shared warm image.
-        raise SimulationError(
-            "warm-state capture requires the event NoC engine")
-    network.flush_stat_batches()
-    for router in network.routers:
-        for port in router.output_ports:
-            filt = getattr(port, "filter", None) if port else None
-            if filt is not None and filt._by_addr:
-                raise SimulationError(
-                    f"router {router.router_id}: in-network filter "
-                    "non-empty at capture (system not quiesced)")
-    return {
-        "functional": False,
-        "stats": network.stats.state(),
-        "router_stats": [router.stats.state()
-                         for router in network.routers],
-        "port_flits_tx": [[port.flits_tx if port is not None else 0
-                           for port in router.output_ports]
-                          for router in network.routers],
-        "traffic_flits": list(network._traffic_flits),
-        "link_load": list(network._link_load),
-        "last_progress": network._last_progress,
-        "rr_vnet": [ni._rr_vnet for ni in network.interfaces],
-    }
-
-
-def _load_network(network, snap: Dict, cycle: int) -> None:
-    if isinstance(network, FunctionalNetwork):
-        # A functional warm image may continue warming on another
-        # functional system (the chained-capture path); the functional
-        # fabric carries no restorable state, so there is nothing to
-        # load.  A *detailed* image never restores functionally — its
-        # timing context would be silently discarded.
-        if not snap.get("functional"):
-            raise SimulationError(
-                "detailed warm images restore into detailed systems only")
-        return
-    if snap.get("functional"):
-        # Functional warm image: the detailed fabric starts cold; only
-        # anchor the deadlock watchdog at the restore cycle.
-        network._last_progress = cycle
-        return
-    if getattr(network, "engine_kind", "event") == "array":
-        # The array backend shares the event engine's flat accounting
-        # layouts, so an event-built warm image restores directly; the
-        # per-router stats and port counters have no array analogue (it
-        # keeps no router objects) and are dropped.
-        network.stats.restore_state(snap["stats"])
-        if len(network._traffic_flits) == len(snap["traffic_flits"]):
-            network._traffic_flits[:] = snap["traffic_flits"]
-        if len(network._link_load) == len(snap["link_load"]):
-            network._link_load[:] = snap["link_load"]
-        network._last_progress = snap["last_progress"]
-        network._ni_rr[:] = snap["rr_vnet"]
-        return
-    network.stats.restore_state(snap["stats"])
-    for router, rsnap in zip(network.routers, snap["router_stats"]):
-        router.stats.restore_state(rsnap)
-    for router, flits in zip(network.routers, snap["port_flits_tx"]):
-        for port, value in zip(router.output_ports, flits):
-            if port is not None:
-                port.flits_tx = value
-    if len(network._traffic_flits) == len(snap["traffic_flits"]):
-        network._traffic_flits[:] = snap["traffic_flits"]
-    if len(network._link_load) == len(snap["link_load"]):
-        network._link_load[:] = snap["link_load"]
-    network._last_progress = snap["last_progress"]
-    for ni, rr_vnet in zip(network.interfaces, snap["rr_vnet"]):
-        ni._rr_vnet = rr_vnet
-
 
 def _push_degree_raw(system) -> List[int]:
     total = 0
@@ -299,53 +104,30 @@ def _push_degree_raw(system) -> List[int]:
     return [total, count]
 
 
-# ---------------------------------------------------------------------------
-# capture / restore
-# ---------------------------------------------------------------------------
-
 def capture_state(system, workload: str, config: str) -> Dict:
     """Snapshot a quiesced, barrier-held :class:`System` as JSON data.
 
     The system must be sitting at a :meth:`System.run_to_quiesce` hold.
-    Capture never mutates simulation state (beyond folding pending stat
+    :meth:`System.state` walks every component's ``state()``; capture
+    never mutates simulation state (beyond folding pending stat
     batches, which is a no-op for results), so the original system can
     keep running afterwards — that property is what the bit-identity
     tests lean on.
     """
-    barrier = system.cores[0].barrier if system.cores else None
-    if barrier is None or barrier.held is None:
-        raise SimulationError(
-            "capture_state() requires a system held at a quiesced "
-            "barrier (run run_to_quiesce first)")
-    if system.network.active or system.scheduler.pending:
-        raise SimulationError("capture_state() on a non-quiesced system")
-    cycle = system.scheduler.now
-    system.network.flush_stat_batches()
-    baseline = collect_result(system, workload, config, cycle).to_dict()
-    return {
-        "version": CKPT_SCHEMA_VERSION,
-        "cycle": cycle,
-        "crossings": barrier.crossings,
-        "arrival_order": [core.tile for core in barrier.held],
-        "cores": [[core._cursor, core._last_issue, core.instructions]
-                  for core in system.cores],
-        "caches": [_dump_private(cache) for cache in system.caches],
-        "slices": [_dump_slice(slc) for slc in system.slices],
-        "versions": sorted(system.versions.items()),
-        "memories": [[tile, ctrl._next_start]
-                     for tile, ctrl in sorted(system.memories.items())],
-        "network": _dump_network(system.network),
-        "stats": system.stats.state(),
-        "baseline": baseline,
-        "push_degree_raw": _push_degree_raw(system),
-    }
+    state = system.state()
+    state["version"] = CKPT_SCHEMA_VERSION
+    state["baseline"] = collect_result(system, workload, config,
+                                       state["cycle"]).to_dict()
+    state["push_degree_raw"] = _push_degree_raw(system)
+    return state
 
 
 def restore_system(system, state: Dict) -> int:
     """Load ``state`` into a fresh, attached, not-yet-run ``System``.
 
-    Re-schedules every core's step at the checkpoint cycle in the
-    recorded barrier-arrival order — exactly what
+    :meth:`System.restore_state` walks every component's
+    ``restore_state()`` and re-schedules every core at the checkpoint
+    cycle in the recorded barrier-arrival order — exactly what
     ``Barrier.release_held`` would have done in the original process —
     and returns that cycle.  Call :meth:`System.run` afterwards.
     """
@@ -353,48 +135,7 @@ def restore_system(system, state: Dict) -> int:
         raise SimulationError(
             f"checkpoint schema {state.get('version')} != "
             f"{CKPT_SCHEMA_VERSION}")
-    if system._cores_started or system.scheduler.now:
-        raise SimulationError(
-            "restore_system() requires a fresh system")
-    if not system.cores:
-        raise SimulationError("attach_workload() before restore_system()")
-    if len(state["cores"]) != len(system.cores):
-        raise SimulationError(
-            f"checkpoint has {len(state['cores'])} cores, system has "
-            f"{len(system.cores)}")
-    cycle = state["cycle"]
-    scheduler = system.scheduler
-    scheduler.now = cycle
-
-    for core, (cursor, last_issue, instructions) in zip(
-            system.cores, state["cores"]):
-        core._cursor = cursor
-        core._last_issue = last_issue
-        core.instructions = instructions
-        core._loaded = False
-    system.cores[0].barrier.crossings = state["crossings"]
-
-    for cache, snap in zip(system.caches, state["caches"]):
-        _load_private(cache, snap)
-    for slc, snap in zip(system.slices, state["slices"]):
-        _load_slice(slc, snap)
-    system.versions.clear()
-    system.versions.update(
-        (line, version) for line, version in state["versions"])
-    for tile, next_start in state["memories"]:
-        ctrl = system.memories.get(tile)
-        if ctrl is not None:
-            ctrl._next_start = next_start
-    _load_network(system.network, state["network"], cycle)
-    system.stats.restore_state(state["stats"])
-
-    for tile in state["arrival_order"]:
-        core = system.cores[tile]
-        core._step_scheduled = True
-        scheduler.at(cycle, core._step)
-    system._cores_started = True
-    system.restored_at = cycle
-    return cycle
+    return system.restore_state(state)
 
 
 def rebase_measurement(state: Dict, system, workload: str,

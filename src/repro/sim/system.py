@@ -434,3 +434,77 @@ class System:
         while network.active or scheduler.pending:
             cycle = self._advance(cycle, max_cycles, "drain",
                                   "drain exceeded max_cycles")
+
+    # ------------------------------------------------------------------
+    # checkpoint state (see repro.sim.checkpoint)
+    # ------------------------------------------------------------------
+
+    def state(self) -> Dict:
+        """Every component's state as the checkpoint's JSON sections.
+
+        The system must sit at a :meth:`run_to_quiesce` hold with
+        nothing in flight.  Each component's ``state()`` raises
+        SimulationError on transient state it cannot carry (busy MSHRs,
+        an open coalescing window, directory transients, a non-empty
+        in-network filter).  Capture mutates no simulation state, so
+        the system can keep running afterwards.
+        """
+        if not self.cores:
+            raise SimulationError("attach_workload() before capture_state()")
+        held = self.cores[0].barrier.state()
+        if self.network.active or self.scheduler.pending:
+            raise SimulationError("capture_state() on a non-quiesced system")
+        return {
+            "cycle": self.scheduler.now,
+            **held,
+            "cores": [core.state() for core in self.cores],
+            "caches": [cache.state() for cache in self.caches],
+            "slices": [slc.state() for slc in self.slices],
+            "versions": sorted(self.versions.items()),
+            "memories": [[tile, ctrl.state()]
+                         for tile, ctrl in sorted(self.memories.items())],
+            "network": self.network.state(),
+            "stats": self.stats.state(),
+        }
+
+    def restore_state(self, state: Dict) -> int:
+        """Load :meth:`state` sections into this fresh, attached system.
+
+        Every core resumes at the snapshot cycle in the recorded
+        barrier-arrival order, exactly as ``Barrier.release_held``
+        would have resumed them in the original process; returns that
+        cycle.  Memory clocks of tiles without a controller here are
+        skipped (see ``MemoryController.restore_state``).
+        """
+        if self._cores_started or self.scheduler.now:
+            raise SimulationError(
+                "restore_system() requires a fresh system")
+        if not self.cores:
+            raise SimulationError("attach_workload() before restore_system()")
+        if len(state["cores"]) != len(self.cores):
+            raise SimulationError(
+                f"checkpoint has {len(state['cores'])} cores, system has "
+                f"{len(self.cores)}")
+        cycle = state["cycle"]
+        self.scheduler.now = cycle
+        for core, snap in zip(self.cores, state["cores"]):
+            core.restore_state(snap)
+        barrier = self.cores[0].barrier
+        barrier.restore_state(state, self.cores)
+        for cache, snap in zip(self.caches, state["caches"]):
+            cache.restore_state(snap)
+        for slc, snap in zip(self.slices, state["slices"]):
+            slc.restore_state(snap)
+        self.versions.clear()
+        self.versions.update(
+            (line, version) for line, version in state["versions"])
+        for tile, clock in state["memories"]:
+            ctrl = self.memories.get(tile)
+            if ctrl is not None:
+                ctrl.restore_state(clock)
+        self.network.restore_state(state["network"], cycle)
+        self.stats.restore_state(state["stats"])
+        barrier.release_held()
+        self._cores_started = True
+        self.restored_at = cycle
+        return cycle

@@ -8,14 +8,33 @@ replies.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from repro.common.messages import CoherenceMsg, MsgType
 from repro.common.params import SystemParams
 from repro.common.scheduler import Scheduler
+from repro.cache.coherence import STATE_OBJS
 from repro.cache.llc import LLCSlice
 from repro.cache.private_cache import PrivateCache
+from repro.cache.sram import (CacheArray, F_ACCESSED, F_BLOCKED, F_DIRTY,
+                              F_PREFETCHED, F_PUSHED)
 from repro.sim.config import make_params
+
+
+def resident_line(array: CacheArray,
+                  line_addr: int) -> Optional[SimpleNamespace]:
+    """A decoded copy of ``array.record(line_addr)`` (None when the
+    line is absent): its state object, payload and status flags."""
+    record = array.record(line_addr)
+    if record is None:
+        return None
+    _, code, payload, flags = record
+    return SimpleNamespace(
+        line_addr=line_addr, state=STATE_OBJS[code], payload=payload,
+        dirty=bool(flags & F_DIRTY), pushed=bool(flags & F_PUSHED),
+        accessed=bool(flags & F_ACCESSED), blocked=bool(flags & F_BLOCKED),
+        prefetched=bool(flags & F_PREFETCHED))
 
 
 class ControllerHarness:

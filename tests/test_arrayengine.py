@@ -19,7 +19,9 @@ bounds calibrated to what the engines actually guarantee:
 
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -28,10 +30,12 @@ from repro.common.messages import CoherenceMsg, MsgType
 from repro.common.params import NoCParams
 from repro.common.scheduler import Scheduler
 from repro.noc.arrayengine import ArrayNetwork
-from repro.noc.network import Network
+from repro.noc.network import DEADLOCK_WATCHDOG_CYCLES, Network
+from repro.sim.checkpoint import capture_state, restore_system
 from repro.sim.config import bench_kwargs, make_params
-from repro.sim.runner import run_workload
+from repro.sim.runner import resolve_point, run_workload
 from repro.sim.system import System
+from repro.workloads.registry import build_trace_buffers
 
 # ---------------------------------------------------------------------------
 # pure-NoC synthetic driver (no coherence stack; both engines see the
@@ -421,10 +425,37 @@ class TestEngineSelection:
         assert repro.noc.ArrayNetwork is ArrayNetwork
 
     def test_checkpoint_capture_rejects_array_engine(self) -> None:
-        from repro.sim.checkpoint import _dump_network
         net, _ = _build("array", NoCParams(rows=2, cols=2))
-        with pytest.raises(SimulationError):
-            _dump_network(net)
+        with pytest.raises(SimulationError, match="event NoC engine"):
+            net.state()
+
+    def test_detailed_image_restores_into_array_engine(self) -> None:
+        """An event-built detailed image carries the accounting the
+        array engine shares: network stats, per-class flits, per-link
+        loads, the watchdog anchor and the NI round-robin pointers."""
+        params, wl_kwargs = resolve_point("cachebw", "ordpush", 4, iters=4)
+        traces = build_trace_buffers("cachebw", num_cores=4, seed=1,
+                                     **wl_kwargs)
+        warm = System(params)
+        warm.attach_workload(traces)
+        warm.run_to_quiesce(2)
+        state = json.loads(json.dumps(
+            capture_state(warm, "cachebw", "ordpush")))
+        snap = state["network"]
+        assert any(snap["rr_vnet"]) and any(snap["link_load"])
+
+        system = System(replace(params, noc=replace(params.noc,
+                                                    engine="array")))
+        system.attach_workload(traces)
+        assert restore_system(system, state) == state["cycle"]
+        net = system.network
+        assert net.stats.state() == snap["stats"]
+        assert net._traffic_flits.tolist() == snap["traffic_flits"]
+        assert net._link_load.tolist() == snap["link_load"]
+        assert net._ni_rr == snap["rr_vnet"]
+        assert net.watchdog_deadline() == (snap["last_progress"]
+                                           + DEADLOCK_WATCHDOG_CYCLES + 1)
+        assert system.run() > state["cycle"]
 
     def test_checkpointed_run_restores_into_array_engine(
             self, tmp_path, monkeypatch) -> None:

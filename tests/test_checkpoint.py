@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.common.errors import SimulationError
 from repro.store import Store
 from repro.sim.checkpoint import (
     CKPT_SCHEMA_VERSION,
@@ -40,15 +41,21 @@ SCHEMES = ("baseline", "coalesce", "msp", "pushack", "ordpush",
            "push_mc_filter")
 
 
-def _fresh_system(config: str, build=build_trace_buffers, **hw):
+#: the FAST workload at 16 cores on the scaled caches (cmesh needs 16
+#: tiles to put 4 on each of several routers)
+WIDE = dict(bench_kwargs(), array_lines=256, num_cores=16)
+
+
+def _fresh_system(config: str, build=build_trace_buffers,
+                  num_cores: int = FAST["num_cores"],
+                  functional: bool = False, **hw):
     """A system on the FAST point; ``build`` is ``build_trace_buffers``
     (compiled buffers) or ``build_traces`` (live generators)."""
-    params, wl_kwargs = resolve_point(FAST["workload"], config,
-                                      FAST["num_cores"], iters=FAST["iters"],
-                                      **hw)
-    traces = build(FAST["workload"], num_cores=FAST["num_cores"],
+    params, wl_kwargs = resolve_point(FAST["workload"], config, num_cores,
+                                      iters=FAST["iters"], **hw)
+    traces = build(FAST["workload"], num_cores=num_cores,
                    seed=FAST["seed"], **wl_kwargs)
-    system = System(params)
+    system = System(params, functional_noc=functional)
     system.attach_workload(traces)
     return system
 
@@ -65,41 +72,34 @@ def _serialized(state: dict) -> bytes:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("config, build", [
-        *(pytest.param(config, build_trace_buffers, id=config)
+    @pytest.mark.parametrize("config, build, hw", [
+        *(pytest.param(config, build_trace_buffers, {}, id=config)
           for config in SCHEMES),
         # generator-fed systems checkpoint like buffer-fed ones
-        pytest.param("ordpush", build_traces, id="ordpush-generators")])
-    def test_roundtrip_matches_inprocess_continue(self, config,
-                                                  build) -> None:
-        continued = _fresh_system(config, build)
+        pytest.param("ordpush", build_traces, {}, id="ordpush-generators"),
+        # every fabric: wraparound links, the radix-3 dateline ring, and
+        # 4 tiles per router
+        pytest.param("ordpush", build_trace_buffers, {"topology": "torus"},
+                     id="ordpush-torus"),
+        pytest.param("ordpush", build_trace_buffers, {"topology": "ring"},
+                     id="ordpush-ring"),
+        pytest.param("ordpush", build_trace_buffers,
+                     dict(WIDE, topology="cmesh"), id="ordpush-cmesh")])
+    def test_roundtrip_matches_inprocess_continue(self, config, build,
+                                                  hw) -> None:
+        continued = _fresh_system(config, build, **hw)
         continued.run_to_quiesce(2)
         finish_a = continued.run()
 
-        paused = _fresh_system(config, build)
+        paused = _fresh_system(config, build, **hw)
         paused.run_to_quiesce(2)
         state = json.loads(_serialized(capture_state(
             paused, FAST["workload"], config)))
-        restored = _fresh_system(config, build)
+        restored = _fresh_system(config, build, **hw)
         restore_system(restored, state)
         finish_b = restored.run()
 
         assert finish_a == finish_b
-        assert _stats_lines(continued) == _stats_lines(restored)
-
-    def test_roundtrip_on_torus(self) -> None:
-        hw = {"topology": "torus"}
-        continued = _fresh_system("ordpush", **hw)
-        continued.run_to_quiesce(2)
-        finish_a = continued.run()
-
-        paused = _fresh_system("ordpush", **hw)
-        paused.run_to_quiesce(2)
-        state = capture_state(paused, FAST["workload"], "ordpush")
-        restored = _fresh_system("ordpush", **hw)
-        restore_system(restored, state)
-
-        assert finish_a == restored.run()
         assert _stats_lines(continued) == _stats_lines(restored)
 
     def test_capture_is_deterministic(self) -> None:
@@ -129,6 +129,52 @@ class TestBitIdentity:
         captured.run_to_quiesce(2)
         capture_state(captured, FAST["workload"], "ordpush")
         assert captured.run() == finish_a
+
+
+class TestImageChecks:
+    def _detailed_image(self) -> dict:
+        system = _fresh_system("ordpush")
+        system.run_to_quiesce(2)
+        return json.loads(_serialized(capture_state(
+            system, FAST["workload"], "ordpush")))
+
+    @pytest.mark.parametrize("engine", ["event", "array"])
+    @pytest.mark.parametrize("field", ["traffic_flits", "link_load"])
+    def test_mismatched_accounting_length_raises(self, engine,
+                                                 field) -> None:
+        """A flat accounting array of the wrong length marks a corrupt
+        or foreign image; restoring it must fail, naming the field."""
+        state = self._detailed_image()
+        state["network"][field].append(0)
+        with pytest.raises(SimulationError, match=field):
+            restore_system(_fresh_system("ordpush", engine=engine), state)
+
+    def test_detailed_image_never_restores_functionally(self) -> None:
+        state = self._detailed_image()
+        with pytest.raises(SimulationError, match="detailed systems only"):
+            restore_system(_fresh_system("ordpush", functional=True), state)
+
+    @pytest.mark.parametrize("topology", ["mesh", "torus", "ring", "cmesh"])
+    def test_memory_clocks_never_pass_the_capture_cycle(self,
+                                                        topology) -> None:
+        """Restore skips the clocks of image tiles without a controller
+        (a functional image's canonical corners on ring and cmesh); that
+        equals restoring them only while every clock is at most the
+        capture cycle (see ``MemoryController.restore_state``)."""
+        functional = _fresh_system("baseline", topology=topology,
+                                   functional=True, **WIDE)
+        detailed = _fresh_system("baseline", topology=topology, **WIDE)
+        tiles = {"functional": sorted(functional.memories),
+                 "detailed": sorted(detailed.memories)}
+        if topology in ("ring", "cmesh"):
+            assert tiles["functional"] != tiles["detailed"]
+        for system in (functional, detailed):
+            for barriers in (1, 2, 3):
+                system.run_to_quiesce(barriers)
+                state = capture_state(system, FAST["workload"], "baseline")
+                clocks = [clock for _, clock in state["memories"]]
+                assert len(clocks) == 4 and max(clocks) > 0
+                assert max(clocks) <= state["cycle"], state["memories"]
 
 
 class TestWarmRun:

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.cache.coherence import PrivState
+from repro.cache.coherence import STATE_OBJS, PrivState
 from repro.cpu.traces import BARRIER, MemAccess
 from repro.sim.config import make_params
 from repro.sim.system import System
@@ -44,9 +44,9 @@ def check_swmr(system: System) -> None:
     """Single-Writer Multiple-Reader invariant over final cache state."""
     holders = {}
     for cache in system.caches:
-        for line in cache.l2.resident_lines():
-            holders.setdefault(line.line_addr, []).append(
-                (cache.tile, line.state))
+        for line_addr, _, code, *_ in cache.l2.state()["lines"]:
+            holders.setdefault(line_addr, []).append(
+                (cache.tile, STATE_OBJS[code]))
     for line_addr, entries in holders.items():
         writable = [t for t, s in entries
                     if s in (PrivState.M, PrivState.E)]

@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import ProtocolError
 from repro.common.messages import CoherenceMsg, MsgType
 from repro.cache.coherence import PrivState
-from tests.harness import ControllerHarness
+from tests.harness import ControllerHarness, resident_line
 
 
 def _data_s(line: int, dest: int, payload: int = 0,
@@ -52,7 +52,7 @@ class TestReadPath:
         cache.deliver(_data_s(0x1000 // 64, 1))
         h.settle()
         assert done == [1]
-        line = cache.l2.lookup(0x1000 // 64, touch=False)
+        line = resident_line(cache.l2, 0x1000 // 64)
         assert line is not None and line.state is PrivState.S
 
     def test_second_access_hits(self) -> None:
@@ -88,7 +88,7 @@ class TestReadPath:
         h.settle()
         cache.deliver(_data_e(0x1000 // 64, 1))
         h.settle()
-        line = cache.l2.lookup(0x1000 // 64, touch=False)
+        line = resident_line(cache.l2, 0x1000 // 64)
         assert line.state is PrivState.E
 
 
@@ -107,7 +107,7 @@ class TestWritePath:
         h.settle()
         cache.deliver(_data_e(0x2000 // 64, 1, payload=7))
         h.settle()
-        line = cache.l2.lookup(0x2000 // 64, touch=False)
+        line = resident_line(cache.l2, 0x2000 // 64)
         assert line.state is PrivState.M and line.dirty
         assert line.payload == 7
 
@@ -125,10 +125,10 @@ class TestWritePath:
         upgrades = h.take(MsgType.GETM)
         assert len(upgrades) == 1
         # The S copy is pinned during the upgrade.
-        assert cache.l2.lookup(line_addr, touch=False).blocked
+        assert resident_line(cache.l2, line_addr).blocked
         cache.deliver(_data_e(line_addr, 1, payload=3))
         h.settle()
-        line = cache.l2.lookup(line_addr, touch=False)
+        line = resident_line(cache.l2, line_addr)
         assert line.state is PrivState.M and not line.blocked
 
     def test_write_to_exclusive_is_silent(self) -> None:
@@ -142,8 +142,7 @@ class TestWritePath:
         cache.access(0x2000, True, None)
         h.settle()
         assert h.take() == []
-        assert cache.l2.lookup(0x2000 // 64,
-                               touch=False).state is PrivState.M
+        assert resident_line(cache.l2, 0x2000 // 64).state is PrivState.M
 
 
 class TestEviction:
@@ -190,7 +189,7 @@ class TestInvalidation:
         cache.deliver(_inv(line_addr))
         h.settle()
         assert len(h.take(MsgType.INV_ACK)) == 1
-        assert cache.l2.lookup(line_addr, touch=False) is None
+        assert resident_line(cache.l2, line_addr) is None
 
     def test_inv_dirty_line_writes_back(self) -> None:
         h = ControllerHarness()
@@ -228,7 +227,7 @@ class TestInvalidation:
         cache.deliver(_data_s(line_addr, 1, payload=0))
         h.settle()
         assert done == [1]
-        assert cache.l2.lookup(line_addr, touch=False) is None
+        assert resident_line(cache.l2, line_addr) is None
 
     def test_inv_during_upgrade_clears_s_copy(self) -> None:
         h = ControllerHarness()
@@ -244,12 +243,11 @@ class TestInvalidation:
         cache.deliver(_inv(line_addr, payload=5))
         h.settle()
         assert len(h.take(MsgType.INV_ACK)) == 1
-        assert cache.l2.lookup(line_addr, touch=False) is None
+        assert resident_line(cache.l2, line_addr) is None
         # The later grant installs fresh data without protocol error.
         cache.deliver(_data_e(line_addr, 1, payload=6))
         h.settle()
-        assert cache.l2.lookup(line_addr,
-                               touch=False).state is PrivState.M
+        assert resident_line(cache.l2, line_addr).state is PrivState.M
 
 
 class TestDowngrade:
@@ -265,7 +263,7 @@ class TestDowngrade:
         cache.deliver(CoherenceMsg(MsgType.DOWNGRADE, line_addr, 0, (1,)))
         h.settle()
         assert len(h.take(MsgType.PUTM)) == 1
-        line = cache.l2.lookup(line_addr, touch=False)
+        line = resident_line(cache.l2, line_addr)
         assert line.state is PrivState.S and not line.dirty
 
     def test_downgrade_clean_owner_acks(self) -> None:

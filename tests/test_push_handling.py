@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.common.messages import CoherenceMsg, MsgType
 from repro.common.params import PushParams, SystemParams
 from repro.cache.coherence import PrivState
-from tests.harness import ControllerHarness
+from tests.harness import ControllerHarness, resident_line
 
 
 def _harness(mode: str = "ordpush", **push_overrides) -> ControllerHarness:
@@ -37,7 +37,7 @@ class TestPushInstall:
         cache = h.make_private()
         cache.deliver(_push(0x40))
         h.settle()
-        line = cache.l2.lookup(0x40, touch=False)
+        line = resident_line(cache.l2, 0x40)
         assert line is not None
         assert line.state is PrivState.S
         assert line.pushed and not line.accessed
@@ -93,7 +93,7 @@ class TestPushDrops:
         cache.deliver(_push(0x40))
         h.settle()
         assert cache.stats.get("push_coherence_drop") == 1
-        assert cache.l2.lookup(0x40, touch=False) is None
+        assert resident_line(cache.l2, 0x40) is None
 
     def test_stale_push_after_inv_dropped(self) -> None:
         h = _harness()
@@ -123,7 +123,7 @@ class TestPushDrops:
         cache.deliver(_push(pushed_line))
         h.settle()
         assert cache.stats.get("push_deadlock_drop") == 1
-        assert cache.l2.lookup(pushed_line, touch=False) is None
+        assert resident_line(cache.l2, pushed_line) is None
 
     def test_unused_push_counted_at_eviction(self) -> None:
         h = ControllerHarness(config="ordpush", l2_kb=4, l1_kb=4)

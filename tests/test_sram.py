@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.params import CacheParams
-from repro.cache.coherence import PrivState
-from repro.cache.sram import CacheArray, CacheLine
+from repro.cache.coherence import STATE_CODE, PrivState
+from repro.cache.sram import F_BLOCKED, CacheArray
+
+S = STATE_CODE[PrivState.S]
 
 
 def small_array(sets: int = 4, assoc: int = 2) -> CacheArray:
@@ -15,81 +17,92 @@ def small_array(sets: int = 4, assoc: int = 2) -> CacheArray:
                                   assoc=assoc, hit_latency=1))
 
 
+#: the two ways to protect pinned lines from eviction: the flag filter,
+#: and an address predicate reading the same flag
+PROTECT = (
+    lambda array: {"skip_blocked": True},
+    lambda array: {"evictable":
+                   lambda addr: not array.record(addr)[3] & F_BLOCKED},
+)
+
+
 class TestInstallLookup:
     def test_lookup_after_install(self) -> None:
         array = small_array()
-        array.install(CacheLine(0x10, PrivState.S))
-        line = array.lookup(0x10)
-        assert line is not None and line.line_addr == 0x10
+        slot = array.install_flat(0x10, S, payload=3)
+        assert array.probe(0x10) == slot
+        assert array.record(0x10) == (0x10, S, 3, 0)
 
     def test_lookup_missing_returns_none(self) -> None:
-        assert small_array().lookup(0x10) is None
+        array = small_array()
+        assert array.probe(0x10) == -1
+        assert array.record(0x10) is None
 
     def test_double_install_raises(self) -> None:
         array = small_array()
-        array.install(CacheLine(0x10, PrivState.S))
+        array.install_flat(0x10, S)
         with pytest.raises(KeyError):
-            array.install(CacheLine(0x10, PrivState.S))
+            array.install_flat(0x10, S)
 
     def test_install_full_set_raises(self) -> None:
         array = small_array(sets=4, assoc=2)
-        array.install(CacheLine(0x0, PrivState.S))
-        array.install(CacheLine(0x4, PrivState.S))  # same set (4 sets)
+        array.install_flat(0x0, S)
+        array.install_flat(0x4, S)  # same set (4 sets)
         with pytest.raises(IndexError):
-            array.install(CacheLine(0x8, PrivState.S))
+            array.install_flat(0x8, S)
 
     def test_remove_frees_way(self) -> None:
         array = small_array(sets=4, assoc=2)
-        array.install(CacheLine(0x0, PrivState.S))
-        array.install(CacheLine(0x4, PrivState.S))
-        assert array.remove(0x0).line_addr == 0x0
-        array.install(CacheLine(0x8, PrivState.S))  # fits again
+        array.install_flat(0x0, S)
+        array.install_flat(0x4, S)
+        array.clear_slot(array.probe(0x0))
+        assert array.record(0x0) is None
+        array.install_flat(0x8, S)  # fits again
 
     def test_remove_missing_returns_none(self) -> None:
-        assert small_array().remove(0x99) is None
+        array = small_array()
+        array.install_flat(0x0, S)
+        array.clear_slot(array.probe(0x0))
+        assert array.probe(0x0) == -1 and array.occupancy() == 0
 
 
 class TestVictimSelection:
     def test_no_eviction_needed_when_free_way(self) -> None:
         array = small_array()
-        array.install(CacheLine(0x0, PrivState.S))
-        assert array.evict_victim(0x4) is None
+        array.install_flat(0x0, S)
+        assert array.evict_flat(0x4) is None
 
     def test_evicts_lru_line(self) -> None:
         array = small_array(sets=1, assoc=2)
-        array.install(CacheLine(0x0, PrivState.S))
-        array.install(CacheLine(0x1, PrivState.S))
-        array.lookup(0x0)  # 0x1 becomes LRU
-        victim = array.evict_victim(0x2)
-        assert victim.line_addr == 0x1
+        array.install_flat(0x0, S)
+        array.install_flat(0x1, S, payload=7, flags=1)
+        array.touch_slot(array.probe(0x0))  # 0x1 becomes LRU
+        assert array.evict_flat(0x2) == (0x1, S, 7, 1)
+        assert array.record(0x1) is None
 
     def test_sets_are_independent(self) -> None:
         array = small_array(sets=2, assoc=2)  # set = line_addr & 1
         for addr in (0x1, 0x0, 0x2, 0x3):
-            array.install(CacheLine(addr, PrivState.S))
+            array.install_flat(addr, S)
         # 0x1 is the oldest line overall, but it lives in set 1.
-        assert array.evict_victim(0x4).line_addr == 0x0
-        assert array.evict_victim(0x5).line_addr == 0x1
+        assert array.evict_flat(0x4)[0] == 0x0
+        assert array.evict_flat(0x5)[0] == 0x1
 
     def test_blocked_lines_are_protected(self) -> None:
-        array = small_array(sets=1, assoc=2)
-        blocked = CacheLine(0x0, PrivState.S)
-        blocked.blocked = True
-        free = CacheLine(0x1, PrivState.S)
-        array.install(blocked)
-        array.install(free)
-        victim = array.evict_victim(
-            0x2, evictable=lambda line: not line.blocked)
-        assert victim.line_addr == 0x1
+        for protect in PROTECT:
+            array = small_array(sets=1, assoc=2)
+            array.install_flat(0x0, S, flags=F_BLOCKED)  # the LRU line
+            array.install_flat(0x1, S)
+            assert array.evict_flat(0x2, **protect(array))[0] == 0x1
 
     def test_all_blocked_raises_lookup_error(self) -> None:
-        array = small_array(sets=1, assoc=2)
-        for addr in (0x0, 0x1):
-            line = CacheLine(addr, PrivState.S)
-            line.blocked = True
-            array.install(line)
-        with pytest.raises(LookupError):
-            array.evict_victim(0x2, evictable=lambda line: not line.blocked)
+        for protect in PROTECT:
+            array = small_array(sets=1, assoc=2)
+            for addr in (0x0, 0x1):
+                array.install_flat(addr, S, flags=F_BLOCKED)
+            with pytest.raises(LookupError):
+                array.evict_flat(0x2, **protect(array))
+            assert array.occupancy() == 2
 
 
 class TestCapacityInvariants:
@@ -100,13 +113,15 @@ class TestCapacityInvariants:
         """Random fill workload: evict-then-install never overflows."""
         array = small_array(sets=8, assoc=2)
         for addr in addrs:
-            if array.lookup(addr) is not None:
+            slot = array.probe(addr)
+            if slot >= 0:
+                array.touch_slot(slot)
                 continue
-            array.evict_victim(addr)
-            array.install(CacheLine(addr, PrivState.S))
+            array.evict_flat(addr)
+            array.install_flat(addr, S)
             assert array.occupancy() <= 16
-        for line in array.resident_lines():
-            assert array.lookup(line.line_addr, touch=False) is line
+        for addr, slot, *_ in array.state()["lines"]:
+            assert array.probe(addr) == slot
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=63),
@@ -115,11 +130,14 @@ class TestCapacityInvariants:
         """A line touched most recently is never the next victim."""
         array = small_array(sets=1, assoc=4)
         for addr in addrs:
-            if array.lookup(addr) is None:
-                array.evict_victim(addr)
-                array.install(CacheLine(addr, PrivState.S))
-            victim = array.evict_victim(9999) if (
+            slot = array.probe(addr)
+            if slot >= 0:
+                array.touch_slot(slot)
+            else:
+                array.evict_flat(addr)
+                array.install_flat(addr, S)
+            victim = array.evict_flat(9999) if (
                 not array.has_free_way(9999)) else None
             if victim is not None:
-                assert victim.line_addr != addr
-                array.install(victim)  # put it back
+                assert victim[0] != addr
+                array.install_flat(*victim)  # put it back
