@@ -973,7 +973,7 @@ class ArrayNetwork:
 
     def state(self) -> Dict:
         """Always raises: warm images are built on the event reference
-        engine (``ensure_warm_state`` forces it), and capturing here
+        engine (``repro.sim.checkpoint.warm_params``), and capturing here
         would bake this backend's statistical divergences into a
         shared image."""
         raise SimulationError(

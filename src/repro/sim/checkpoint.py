@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
@@ -53,10 +53,23 @@ from repro.store import CKPT_SCHEMA_VERSION, Store, warn_fallback
 # keying
 # ---------------------------------------------------------------------------
 
+def warm_params(params):
+    """The hardware a warm image is built and keyed on: always the
+    event reference engine, whose quiesce invariants capture needs; an
+    image restores into either backend."""
+    if params.noc.engine == "event":
+        return params
+    return replace(params, noc=replace(params.noc, engine="event"))
+
+
 def checkpoint_key(params, workload: str, num_cores: int, seed: int,
                    sizes: Dict, warmup_barriers: int, mode: str,
                    chained: bool = False) -> str:
     """Content hash of everything that determines a warm state.
+
+    The one warm-image key, for the sweep planner and the builder
+    alike; it hashes :func:`warm_params`, so an ``engine="array"``
+    point shares its event twin's image.
 
     ``mode="functional"`` drops the NoC parameters from the key: the
     functional warm phase never consults them, so the image is shared
@@ -70,9 +83,11 @@ def checkpoint_key(params, workload: str, num_cores: int, seed: int,
     carrying, so the two disciplines produce genuinely different warm
     states from the third barrier on — they must never share a cache
     slot.  The key component is omitted for direct images, keeping
-    their keys identical to earlier layouts.
+    their keys identical to earlier layouts.  No image holds at
+    barrier 0, so the chained key there names a whole chain: the
+    sweep planner files one chain build under it.
     """
-    config = asdict(params)
+    config = asdict(warm_params(params))
     if mode == "functional":
         config.pop("noc", None)
     spec = {
@@ -332,6 +347,8 @@ class MemoCheckpointStore(CheckpointStore):
 
     ``put`` memoizes too: the worker that builds a warm image serves
     its own batch without ever re-reading what it just wrote.
+    ``memo_hits``/``memo_misses`` count the counted lookups (:meth:`get`,
+    one per restore), so a builder's :meth:`peek` reads stay out.
     """
 
     def __init__(self, root: Union[str, Path, None] = None,
@@ -352,13 +369,18 @@ class MemoCheckpointStore(CheckpointStore):
         state = self.memo.get(key)
         if state is not None:
             self.memo.move_to_end(key)
-            self.memo_hits += 1
             return state
-        self.memo_misses += 1
         state = super()._load(key)
         if state is not None:
             self._remember(key, state)
         return state
+
+    def get(self, key: str) -> Optional[Dict]:
+        if key in self.memo:
+            self.memo_hits += 1
+        else:
+            self.memo_misses += 1
+        return super().get(key)
 
     def put(self, key: str, state: Dict) -> None:
         super().put(key, state)

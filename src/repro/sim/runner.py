@@ -13,6 +13,9 @@ through, plus workload sizing keywords (forwarded to the generator).
 ``run_comparison`` is built on the sweep engine
 (:mod:`repro.sim.sweep`): configurations can fan out over worker
 processes (``jobs``) and reuse the on-disk result cache (``cache``).
+
+:func:`ensure_warm_states` is the one warm-image builder; the sweep
+planner schedules its builds.
 """
 
 from __future__ import annotations
@@ -86,55 +89,51 @@ def ensure_warm_states(workload: str, config: str, params: SystemParams,
                        warmup_mode: str = "detailed",
                        checkpoint=None,
                        max_cycles: int = 100_000_000,
-                       force: Sequence[int] = ()) -> Dict[int, str]:
-    """Warm images for every barrier count in ``barrier_list``, built in
-    one chained warm pass; returns ``{barriers: checkpoint key}``.
+                       force: Sequence[int] = (),
+                       chained: bool = True) -> Dict[int, str]:
+    """Build every missing warm image for ``barrier_list``; returns
+    ``{barriers: checkpoint key}``.
 
-    The naive way to warm K region anchors (barriers ``b1 < b2 < ...``)
-    costs ``O(b1 + b2 + ...)`` simulated warm cycles — each anchor
-    re-runs the shared prefix from cold.  This builder pays ``O(max
-    b)`` once: it runs a single warm system forward, holding and
-    quiescing at **every** barrier on the way and capturing at the
-    missing anchors.  When some prefix is already stored it restores
-    the deepest stored ancestor instead of starting cold.
-
-    The every-barrier hold is what makes chained images *canonical*:
+    ``chained=True`` builds region anchors.  The naive way to warm K
+    anchors (barriers ``b1 < b2 < ...``) costs ``O(b1 + b2 + ...)``
+    simulated warm cycles — each anchor re-runs the shared prefix from
+    cold.  This pays ``O(max b)`` once: a single warm system runs
+    forward, holding and quiescing at **every** barrier on the way and
+    capturing at the missing anchors.  When some prefix is already
+    stored it restores the deepest stored ancestor instead of starting
+    cold.  The every-barrier hold makes chained images *canonical*:
     each hold drains in-flight traffic, so the image at barrier ``b``
     is the same bytes whether it was captured en route to ``b+5`` or
-    chained from a stored ancestor — its content never depends on
-    which anchor set happened to be requested first.  The price is
-    that a chained image differs from the single-hold image a plain
-    warm run builds (from the third barrier on), which is why
-    :func:`~repro.sim.checkpoint.checkpoint_key` keys the two
-    disciplines apart.
+    chained from a stored ancestor.
 
-    ``force`` lists barriers to rebuild even when an entry exists —
-    the caller saw the stored snapshot fail vetting and wants it
-    overwritten, not trusted.
+    ``chained=False`` builds the *direct* image for one barrier: one
+    cold run, held and quiesced only there — the discipline whose
+    measured region splices bit-exactly onto the cold run's timeline.
+    The two disciplines differ from the third barrier on, which is why
+    :func:`~repro.sim.checkpoint.checkpoint_key` keys them apart.
+
+    ``force`` lists barriers to rebuild even when an entry exists — the
+    caller saw the stored snapshot fail vetting, or just probed it
+    missing.
     """
-    from dataclasses import replace
-
     from repro.sim.checkpoint import (CheckpointStore, capture_state,
-                                      checkpoint_key, restore_system)
+                                      checkpoint_key, restore_system,
+                                      warm_params)
 
     if warmup_mode not in ("detailed", "functional"):
         raise ValueError(f"unknown warmup_mode {warmup_mode!r}")
-    # Warm state is always built on the event reference engine: capture
-    # requires its quiesce invariants, and keying the image off the
-    # engine knob would needlessly split checkpoints that restore into
-    # either backend.
-    if params.noc.engine != "event":
-        params = replace(params, noc=replace(params.noc, engine="event"))
+    params = warm_params(params)
     store = checkpoint if checkpoint is not None else CheckpointStore()
 
     def key_at(barriers: int) -> str:
         return checkpoint_key(params, workload, num_cores, seed,
                               wl_kwargs, barriers, warmup_mode,
-                              chained=True)
+                              chained=chained)
 
     wanted = sorted(set(barrier_list))
-    if not wanted or wanted[0] < 1:
-        raise ValueError(f"barrier list must be >= 1: {barrier_list}")
+    if not wanted or wanted[0] < 1 or (not chained and len(wanted) > 1):
+        raise ValueError(f"barrier list must be >= 1 (one barrier for "
+                         f"a direct image): {barrier_list}")
     keys = {barriers: key_at(barriers) for barriers in wanted}
     forced = set(force)
     missing = [barriers for barriers in wanted
@@ -142,25 +141,25 @@ def ensure_warm_states(workload: str, config: str, params: SystemParams,
     if not missing:
         return keys
 
-    # Chain from the deepest trusted ancestor below the first gap
-    # (peek: probe lookups must not count against the store's hit/miss
-    # accounting — they are build internals, not cache lookups).
     warm = System(params, functional_noc=warmup_mode == "functional")
     warm.attach_workload(traces)
-    start = 0
-    floor = max(1, missing[0] - _ANCESTOR_PROBE_LIMIT)
-    for barriers in range(missing[0] - 1, floor - 1, -1):
-        state = store.peek(keys.get(barriers, key_at(barriers)))
-        if state is not None:
-            restore_system(warm, state)
-            start = barriers
-            break
-    missing_set = set(missing)
-    for barriers in range(start + 1, missing[-1] + 1):
+    capture, holds = set(missing), missing
+    if chained:
+        # Chain from the deepest trusted ancestor below the first gap
+        # (peek: probes are build internals, not counted lookups).
+        start = 0
+        floor = max(1, missing[0] - _ANCESTOR_PROBE_LIMIT)
+        for barriers in range(missing[0] - 1, floor - 1, -1):
+            state = store.peek(key_at(barriers))
+            if state is not None:
+                restore_system(warm, state)
+                start = barriers
+                break
+        holds = range(start + 1, missing[-1] + 1)
+    for barriers in holds:
         warm.run_to_quiesce(barriers, max_cycles=max_cycles)
-        if barriers in missing_set:
-            store.put(keys.get(barriers, key_at(barriers)),
-                      capture_state(warm, workload, config))
+        if barriers in capture:
+            store.put(keys[barriers], capture_state(warm, workload, config))
     return keys
 
 
@@ -173,53 +172,27 @@ def ensure_warm_state(workload: str, config: str, params: SystemParams,
                       chained: bool = False) -> Dict:
     """The warm-state snapshot for a point, building it on a store miss.
 
-    Looks the checkpoint up in the content-addressed store first; on a
-    miss — including a stored entry that fails vetting (corrupt or
-    version-mismatched payloads warn and fall through) — the image is
-    rebuilt and the stored entry overwritten.  Exactly one counted
-    store lookup happens per call, so ``store.hits``/``store.misses``
-    read as one access per logical warm phase.
-
-    ``chained=False`` (plain warm runs) builds the *direct* image: one
-    uninterrupted run to the requested barrier, held and quiesced only
-    there — the discipline whose measured region splices bit-exactly
-    onto the cold run's timeline.  ``chained=True`` (sampled regions,
-    ``measure_cycles > 0``) routes the build through
-    :func:`ensure_warm_states`, whose every-barrier hold makes region
-    anchors canonical and lets K anchors share one warm pass.  The two
-    disciplines are keyed apart (see
-    :func:`~repro.sim.checkpoint.checkpoint_key`).  Hit or miss, the
-    caller restores the returned state into a fresh detailed system,
-    so both paths execute identically.
+    Exactly one counted store lookup happens per call, so
+    ``store.hits``/``store.misses`` read as one access per logical warm
+    phase.  On a miss — including a stored entry that fails vetting
+    (corrupt or version-mismatched payloads warn and fall through) —
+    :func:`ensure_warm_states` rebuilds the image (``chained`` picks
+    its discipline) and overwrites the entry.  Hit or miss, the caller
+    restores the returned state into a fresh detailed system, so both
+    paths execute identically.
     """
-    from dataclasses import replace
+    from repro.sim.checkpoint import CheckpointStore, checkpoint_key
 
-    from repro.sim.checkpoint import (CheckpointStore, capture_state,
-                                      checkpoint_key)
-
-    if warmup_mode not in ("detailed", "functional"):
-        raise ValueError(f"unknown warmup_mode {warmup_mode!r}")
-    if params.noc.engine != "event":
-        params = replace(params, noc=replace(params.noc, engine="event"))
     store = checkpoint if checkpoint is not None else CheckpointStore()
     key = checkpoint_key(params, workload, num_cores, seed, wl_kwargs,
                          warmup_barriers, warmup_mode, chained=chained)
     state = store.get(key)
     if state is not None:
         return state
-    if not chained:
-        warm = System(params, functional_noc=warmup_mode == "functional")
-        warm.attach_workload(traces)
-        warm.run_to_quiesce(warmup_barriers, max_cycles=max_cycles)
-        state = capture_state(warm, workload, config)
-        store.put(key, state)
-        return state
-    # force: the counted lookup just said the stored entry (if any)
-    # cannot be trusted, so the chain builder must overwrite it rather
-    # than skip it on the entry-level has() check.
-    ensure_warm_states(workload, config, params, traces, num_cores,
-                       seed, wl_kwargs, [warmup_barriers], warmup_mode,
-                       store, max_cycles, force=(warmup_barriers,))
+    ensure_warm_states(workload, config, params, traces, num_cores, seed,
+                       wl_kwargs, [warmup_barriers], warmup_mode, store,
+                       max_cycles, force=(warmup_barriers,),
+                       chained=chained)
     state = store.peek(key)
     if state is None:
         raise SimulationError(

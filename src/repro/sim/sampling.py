@@ -17,14 +17,17 @@ existing machinery:
   content-addressed result store individually — re-running a sampled
   point is all cache hits.
 
-* **Warm chain**: the K warm images are built in **one** chained warm
-  pass (:func:`repro.sim.runner.ensure_warm_states` re-arms the
-  quiesce hold at every barrier and captures at the anchors on the
-  way), so warm cost is ``O(max anchor)``, not ``O(sum of anchors)``.
-  The every-barrier hold makes the anchors *canonical* — the image at
-  anchor i never depends on which anchor set was built first — and
-  region anchors are keyed apart from plain single-hold warm images
-  (``chained=True`` in :func:`~repro.sim.checkpoint.checkpoint_key`).
+* **Warm chain**: this module builds nothing.  The sweep planner
+  collects the regions' missing anchors per chain and schedules each
+  chain as one build task, which builds the K warm images in **one**
+  chained warm pass (:func:`repro.sim.runner.ensure_warm_states`
+  re-arms the quiesce hold at every barrier and captures at the
+  anchors on the way), so warm cost is ``O(max anchor)``, not ``O(sum
+  of anchors)``.  The every-barrier hold makes the anchors *canonical*
+  — the image at anchor i never depends on which anchor set was built
+  first — and region anchors are keyed apart from plain single-hold
+  warm images (``chained=True`` in
+  :func:`~repro.sim.checkpoint.checkpoint_key`).
 
 * **Aggregation**: per-region rate stats are aggregated into a
   :class:`SampledResult` carrying mean, sample stddev, and Student-t
@@ -399,22 +402,6 @@ def aggregate(point: SweepPoint, policy: SamplingPolicy,
 # execution
 # ---------------------------------------------------------------------------
 
-def _prepare_warm_chain(point: SweepPoint, barriers: List[int],
-                        policy: SamplingPolicy) -> None:
-    """Build every missing warm image for ``barriers`` in one chained
-    pass (parent-side, so K regions never race K separate builds)."""
-    from repro.sim.runner import ensure_warm_states, resolve_point
-    from repro.workloads.registry import build_trace_buffers
-
-    params, wl_kwargs = resolve_point(point.workload, point.config,
-                                      point.num_cores, **dict(point.kwargs))
-    traces = build_trace_buffers(point.workload, num_cores=point.num_cores,
-                                 seed=point.seed, **wl_kwargs)
-    ensure_warm_states(point.workload, point.config, params, traces,
-                       point.num_cores, point.seed, wl_kwargs, barriers,
-                       policy.warmup_mode, max_cycles=point.max_cycles)
-
-
 def _tag_regions(results: List[SimResult],
                  indices: List[int]) -> List[SimResult]:
     """Region-index-tagged copies (cache-shared objects stay pristine)."""
@@ -468,8 +455,6 @@ def run_sampled_grid(points: Sequence[SweepPoint],
                 continue
             taken = len(collected[i])
             wave = regions[taken:taken + wave_size]
-            _prepare_warm_chain(points[i],
-                                [p.warmup_barriers for p in wave], policy)
             wave_slices.append((i, taken, len(wave)))
             batch.extend(wave)
         results = run_sweep(batch, jobs=jobs, cache=cache,

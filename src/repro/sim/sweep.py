@@ -17,9 +17,10 @@ engine exploits the structure those grids share:
   in-process memo of parsed snapshots (and compiled trace buffers),
   instead of every worker re-gunzipping the same multi-megabyte
   checkpoint per point;
-* a warm group too big for one worker's share of the points is cut
-  into chunks, and a missing image it needs becomes its own build
-  task that unblocks only those chunks — independent points start
+* the planner schedules every warm build — a missing image that a
+  split warm group needs, and the missing anchors of each sampled
+  chain, built in one pass — as its own task that unblocks only the
+  chunks restoring its images, so independent points start
   immediately instead of barriering behind every warm build;
 * chunks dispatch in submission order, and completed results
   **stream back and commit incrementally**, so an interrupted sweep
@@ -362,8 +363,10 @@ def _execute_chunk(points: List[SweepPoint]
     return dicts, walls, memo_hits
 
 
-def _warm_checkpoint_key(point: SweepPoint) -> Optional[str]:
-    """The point's warm-state key, or None when it warms from cold."""
+def _warm_checkpoint_key(point: SweepPoint,
+                         barriers: Optional[int] = None) -> Optional[str]:
+    """The point's warm-image key (at ``barriers``, default its own
+    anchor), or None when it warms from cold."""
     if point.warmup_barriers <= 0:
         return None
     from repro.sim.checkpoint import checkpoint_key
@@ -372,19 +375,17 @@ def _warm_checkpoint_key(point: SweepPoint) -> Optional[str]:
     params, wl_kwargs = resolve_point(
         point.workload, point.config, point.num_cores,
         **dict(point.kwargs))
-    return checkpoint_key(params, point.workload, point.num_cores,
-                          point.seed, wl_kwargs, point.warmup_barriers,
-                          point.warmup_mode,
-                          chained=point.measure_cycles > 0)
+    return checkpoint_key(
+        params, point.workload, point.num_cores, point.seed, wl_kwargs,
+        point.warmup_barriers if barriers is None else barriers,
+        point.warmup_mode, chained=point.measure_cycles > 0)
 
 
-def _prepare_checkpoint(point: SweepPoint) -> float:
-    """Worker entry: make sure the point's warm state is available.
-
-    Returns the build's wall seconds (0-ish on a store hit) — the
-    ``timings["build"]`` contribution :func:`last_sweep_stats` reports.
-    """
-    from repro.sim.runner import ensure_warm_state, resolve_point
+def _build_images(point: SweepPoint, barriers: List[int]) -> float:
+    """Worker entry: build the planned (just probed missing, so not
+    re-probed) warm images at ``barriers``; returns the build's wall
+    seconds, its ``timings["build"]`` contribution."""
+    from repro.sim.runner import ensure_warm_states, resolve_point
     from repro.workloads.registry import build_trace_buffers
 
     start = time.perf_counter()
@@ -394,12 +395,11 @@ def _prepare_checkpoint(point: SweepPoint) -> float:
     traces = build_trace_buffers(point.workload,
                                  num_cores=point.num_cores,
                                  seed=point.seed, **wl_kwargs)
-    ensure_warm_state(point.workload, point.config, params, traces,
-                      point.num_cores, point.seed, wl_kwargs,
-                      point.warmup_barriers, point.warmup_mode,
-                      checkpoint=_worker_ckpt_store(),
-                      max_cycles=point.max_cycles,
-                      chained=point.measure_cycles > 0)
+    ensure_warm_states(point.workload, point.config, params, traces,
+                       point.num_cores, point.seed, wl_kwargs, barriers,
+                       point.warmup_mode, _worker_ckpt_store(),
+                       point.max_cycles, force=barriers,
+                       chained=point.measure_cycles > 0)
     return time.perf_counter() - start
 
 
@@ -478,23 +478,28 @@ def _effective_workers(jobs: Optional[int], tasks: int) -> int:
 #: (result key, point) pairs, submission order preserved
 _Items = List[Tuple[str, SweepPoint]]
 
-#: planned chunks: (warm-image key or None, items) per worker task
+#: planned chunks: (id of the build task it waits on, or None; items)
 _Planned = List[Tuple[Optional[str], _Items]]
 
+#: planned build tasks: build id -> (a point to build for, barriers)
+_Builds = Dict[str, Tuple[SweepPoint, List[int]]]
 
-def _plan(pending: _Items, workers: int
-          ) -> Tuple[Dict[str, SweepPoint], _Planned]:
+
+def _plan(pending: _Items, workers: int) -> Tuple[_Builds, _Planned]:
     """Carve pending points into warm-affinity chunks plus warm builds.
 
     Points sharing a ``_warm_checkpoint_key`` form a group: one worker
     restoring the image once serves the group from its memo.  Each
     group is cut into slices of one worker's share of the points
-    (capped at :data:`_CHUNK_CAP`) so it cannot serialize the sweep;
-    when that spreads one *missing* image across chunks, the build
-    becomes its own task (returned in ``builds``) and the group's
-    chunks are scheduled only after it lands — everything else starts
-    immediately.  Chunks are ``(warm_key, items)`` pairs in submission
-    order (``warm_key`` None for cold points).
+    (capped at :data:`_CHUNK_CAP`) so it cannot serialize the sweep.
+    A missing *direct* image whose group spreads across chunks
+    becomes a build task (an unsplit group's chunk builds on its first
+    restore).  Missing *chained* images (region anchors) are collected
+    per chain, filed under the key at barrier 0 (the anchor key with
+    the barrier count left out), so a chain that several fabrics share
+    is one task building all its missing anchors in one warm pass.
+    Chunks are ``(build id, items)`` pairs in submission order; only
+    chunks restoring a planned build's images carry its id (else None).
     """
     groups: "OrderedDict[object, _Items]" = OrderedDict()
     for key, point in pending:
@@ -503,21 +508,23 @@ def _plan(pending: _Items, workers: int
                           []).append((key, point))
 
     size = min(_CHUNK_CAP, max(1, len(pending) // workers))
-    builds: Dict[str, SweepPoint] = {}
+    builds: _Builds = {}
     chunks: _Planned = []
     ckpt = None
     for group_id, items in groups.items():
-        warm = group_id if isinstance(group_id, str) else None
-        if warm is not None and len(items) > size:
-            # The image is about to be needed by several chunks at
-            # once; unless it is already stored, build it exactly once
-            # up front instead of racing every chunk into a rebuild.
+        gate = None
+        point = items[0][1]
+        chained = point.measure_cycles > 0
+        if isinstance(group_id, str) and (chained or len(items) > size):
             if ckpt is None:
                 from repro.sim.checkpoint import CheckpointStore
                 ckpt = CheckpointStore()
-            if not ckpt.has(warm):
-                builds[warm] = items[0][1]
-        chunks.extend((warm, items[start:start + size])
+            if not ckpt.has(group_id):
+                gate = (_warm_checkpoint_key(point, 0) if chained
+                        else group_id)
+                builds.setdefault(gate, (point, []))[1].append(
+                    point.warmup_barriers)
+        chunks.extend((gate, items[start:start + size])
                       for start in range(0, len(items), size))
     return builds, chunks
 
@@ -535,9 +542,10 @@ def last_sweep_stats() -> Dict[str, object]:
     point counts, cache hits, workers/chunks/builds scheduled, how
     many warm restores were served from worker snapshot memos, and a
     ``timings`` dict of per-phase seconds — ``probe`` (cache lookups),
-    ``plan`` (chunk planning), ``build`` (worker-side warm-image
-    builds, summed across workers), ``dispatch`` (executor loop
-    excluding build/commit), and ``commit`` (result persistence)."""
+    ``plan`` (chunk planning), ``build`` (the planned warm-image
+    builds, direct images and sampled chains, summed across workers),
+    ``dispatch`` (executor loop excluding build/commit), and
+    ``commit`` (result persistence)."""
     return dict(_LAST_STATS)
 
 
@@ -635,11 +643,13 @@ def run_sweep(points: Sequence[Union[SweepPoint, dict]],
         if workers == 1:
             # One effective worker: run in-process — no pool, no fork,
             # no pickling — sharing the parent's memos directly.
+            # A build runs just before the first chunk waiting on it,
+            # so that chunk restores the images the build memoized.
             memo = _worker_ckpt_store()
             memo_before = memo.memo_hits if memo is not None else 0
-            for warm in builds.values():
-                timings["build"] += _prepare_checkpoint(warm)
-            for _, items in chunks:
+            for gate, items in chunks:
+                if gate in builds:
+                    timings["build"] += _build_images(*builds.pop(gate))
                 for key, point in items:
                     start = time.perf_counter()
                     data = _simulate(point)
@@ -657,13 +667,13 @@ def run_sweep(points: Sequence[Union[SweepPoint, dict]],
     return [results[key] for key in keys]
 
 
-def _run_on_pool(builds: Dict[str, SweepPoint], chunks: _Planned,
+def _run_on_pool(builds: _Builds, chunks: _Planned,
                  workers: int, commit: Callable, stats: Dict,
                  timings: Dict[str, float]) -> None:
     """Drive the planned tasks over the persistent worker pool.
 
-    Missing-warm-image builds go out first; chunks depending on one
-    stay parked until it lands, everything else dispatches immediately
+    Warm builds go out first; chunks waiting on one stay parked until
+    it lands, everything else dispatches immediately
     in submission order.  Completions commit as they arrive.  On any
     task failure the remaining futures are cancelled and the pool is
     retired — results already committed stay committed, which is what
@@ -680,11 +690,12 @@ def _run_on_pool(builds: Dict[str, SweepPoint], chunks: _Planned,
                               [point for _, point in items])] = \
             ("chunk", items)
 
-    for warm, point in builds.items():
-        in_flight[pool.submit(_prepare_checkpoint, point)] = ("build", warm)
-    for warm, items in chunks:
-        if warm in builds:
-            gated.setdefault(warm, []).append(items)
+    for gate, (point, barriers) in builds.items():
+        in_flight[pool.submit(_build_images, point, barriers)] = \
+            ("build", gate)
+    for gate, items in chunks:
+        if gate in builds:
+            gated.setdefault(gate, []).append(items)
         else:
             submit(items)
 

@@ -240,7 +240,9 @@ class Store:
         """The payload for ``key``, or None on any miss.
 
         Misses are silent when nothing was there; anything present but
-        untrusted goes through the namespace's fallback policy.
+        untrusted goes through the namespace's fallback policy.  An
+        object that fails verification is deleted, so the rebuild's
+        :meth:`set` writes it anew instead of keeping the bad bytes.
         """
         entry = self.entry(namespace, key, quiet=False)
         if entry is None:
@@ -249,6 +251,8 @@ class Store:
             return _decode(self._read_object(entry["digest"]),
                            entry.get("codec", NAMESPACES[namespace][1]))
         except (OSError, ValueError) as exc:
+            if isinstance(exc, ValueError):
+                self.object_path(entry["digest"]).unlink(missing_ok=True)
             self._fallback(namespace, key,
                            f"corrupt or missing object: {exc}")
             return None
@@ -278,7 +282,8 @@ class Store:
         ``meta`` is a small JSON dict merged into the entry (e.g. the
         wall seconds a result cost), scannable without reading objects;
         it cannot shadow store-owned fields.  The object lands before
-        its entry; an existing object is never rewritten.
+        its entry; an existing object is never rewritten (:meth:`get`
+        deletes one that fails verification).
         """
         schema, codec, _, _ = NAMESPACES[namespace]
         self.entry_path(namespace, key)  # a bad key fails before any write

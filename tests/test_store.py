@@ -96,6 +96,9 @@ class TestObjectStore:
         assert dict(store.get_many([digest])) == {digest: None}
         with pytest.warns(RuntimeWarning, match="does not match its digest"):
             assert store.get("ckpt", "c" * 64) is None
+        # the failed read dropped the bad object, so a rebuild heals it
+        store.set("ckpt", "c" * 64, b"trusted")
+        assert store.get("ckpt", "c" * 64) == b"trusted"
 
     def test_dedup_one_object_many_keys(self, tmp_path) -> None:
         store = Store(tmp_path)

@@ -18,6 +18,7 @@ import textwrap
 from repro.cli import build_parser
 from repro.sim import sweep
 from repro.sim.config import bench_kwargs
+from repro.sim.sampling import SamplingPolicy, run_sampled_grid
 from repro.sim.sweep import (
     _CHUNK_CAP,
     ResultCache,
@@ -31,6 +32,8 @@ from repro.sim.sweep import (
     resolve_jobs,
     run_sweep,
 )
+from repro.sim.system import System
+from repro.store import Store
 
 #: one fast simulation point (~tens of milliseconds)
 FAST = dict(num_cores=4, iters=4, **bench_kwargs())
@@ -348,3 +351,72 @@ class TestDependencyPlanning:
         serial = run_sweep(points, jobs=1, cache=False)
         assert [r.to_dict() for r in parallel] == [
             r.to_dict() for r in serial]
+
+    def test_array_point_plans_the_stored_event_image(
+            self, tmp_path, monkeypatch) -> None:
+        """Warm images are built and keyed on the event engine: an
+        ``engine="array"`` detailed point keys to the image a run stores
+        for it, shares one warm group with its event twin, and plans no
+        build once that image exists."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        array, event = (SweepPoint.make(
+            "cachebw", "ordpush", num_cores=4, seed=69, engine=engine,
+            warmup_barriers=2, array_lines=256, iters=2, **bench_kwargs())
+            for engine in ("array", "event"))
+        run_sweep([array], jobs=1, cache=False)
+        (stored,) = (key for key, _ in Store(tmp_path).entries("ckpt"))
+        assert _warm_checkpoint_key(array) == stored
+        assert _warm_checkpoint_key(event) == stored
+        builds, chunks = _plan(self._pending([array, event]), workers=4)
+        assert builds == {}
+        assert len(chunks) == 2  # one group, split across two workers
+
+
+class TestChainBuilds:
+    """The planner schedules every sampled chain as one build task."""
+
+    POLICY = SamplingPolicy(samples=3, sample_cycles=500,
+                            warmup_mode="functional")
+
+    @staticmethod
+    def _grid():
+        sizes = dict(iters=5, array_lines=256, l2_kb=8, l1_kb=8)
+        return [SweepPoint.make("cachebw", "baseline", num_cores=4,
+                                topology=topology, **sizes)
+                for topology in ("mesh", "torus")]
+
+    def test_one_build_per_shared_chain(self, tmp_path,
+                                        monkeypatch) -> None:
+        """Functional anchors ignore the fabric, so mesh and torus share
+        one chain: one task builds its three anchors in one warm pass,
+        and a second grid on the same store builds nothing."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        holds = []
+        quiesce = System.run_to_quiesce
+
+        def counted(system, barriers, **kwargs):
+            holds.append(barriers)
+            return quiesce(system, barriers, **kwargs)
+
+        monkeypatch.setattr(System, "run_to_quiesce", counted)
+        first = run_sampled_grid(self._grid(), self.POLICY, jobs=1)
+        assert last_sweep_stats()["builds"] == 1
+        assert holds == [1, 2, 3]
+        again = run_sampled_grid(self._grid(), self.POLICY, jobs=1)
+        assert last_sweep_stats()["builds"] == 0
+        assert holds == [1, 2, 3]
+        assert [s.to_dict() for s in again] == [s.to_dict() for s in first]
+
+    def test_parallel_sampled_grid_bit_identical(
+            self, tmp_path, monkeypatch, many_cpus) -> None:
+        """At two workers the chain build is a pool task gating the
+        region chunks; the sampled results equal the serial ones."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "pool"))
+        parallel = run_sampled_grid(self._grid(), self.POLICY, jobs=2)
+        assert last_sweep_stats()["workers"] == 2
+        assert last_sweep_stats()["builds"] == 1
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
+        reset_worker_memo()
+        serial = run_sampled_grid(self._grid(), self.POLICY, jobs=1)
+        assert json.dumps([s.to_dict() for s in parallel]) == json.dumps(
+            [s.to_dict() for s in serial])
