@@ -1,7 +1,9 @@
 """The economics of checkpointed and sampled execution.
 
-Two in-process comparisons, each timing both of its legs in one
-process so that host load affects them alike:
+Two in-process comparisons (``jobs=1``, no worker processes), each
+timing both of its legs in this process's CPU seconds
+(``time.process_time``), which other load on the host leaves nearly
+untouched where it stretches wall time:
 
 * **warm sweep** — a 2-scheme x 3-topology grid where every point
   shares two thirds of its execution (the cache-warming phase),
@@ -57,26 +59,26 @@ def test_warm_sweep_amortizes_warmup() -> None:
                    for scheme in WARM_SCHEMES
                    for topology in WARM_TOPOLOGIES]
 
-    start = time.perf_counter()
+    start = time.process_time()
     cold = [run_workload("cachebw", scheme, num_cores=16, seed=1,
                          topology=topology, **kw)
             for scheme in WARM_SCHEMES for topology in WARM_TOPOLOGIES]
-    cold_s = time.perf_counter() - start
+    cold_s = time.process_time() - start
 
     with tempfile.TemporaryDirectory(prefix="repro-warm-") as tmp:
         os.environ["REPRO_CACHE_DIR"] = tmp
         reset_worker_memo()
         try:
-            start = time.perf_counter()
+            start = time.process_time()
             warm = sweep(warm_points, jobs=1, cache=False)
-            warm_s = time.perf_counter() - start
+            warm_s = time.process_time() - start
         finally:
             os.environ.pop("REPRO_CACHE_DIR", None)
     memo_hits = last_sweep_stats()["ckpt_memo_hits"]
 
     improvement = cold_s / warm_s
-    print(f"\nwarm sweep: cold {cold_s:.2f}s vs checkpointed "
-          f"{warm_s:.2f}s -> {improvement:.2f}x "
+    print(f"\nwarm sweep: cold {cold_s:.2f} CPU s vs checkpointed "
+          f"{warm_s:.2f} CPU s -> {improvement:.2f}x "
           f"({memo_hits} memo hits)")
 
     # Measured regions must be real simulations, not cache replays.
@@ -113,8 +115,8 @@ def test_sampled_sweep_beats_long_region() -> None:
     pays only for their detach + measurement windows.  The gate is
     statistical *and* temporal: the sampled IPC's 95% confidence
     interval must cover the full-run IPC (the estimate is honest), and
-    the sampled leg must be at least 3x faster end to end — warm-chain
-    construction included.
+    the sampled leg must take at most a third of the CPU seconds —
+    warm-chain construction included.
     """
     from repro.sim.sampling import SamplingPolicy, run_sampled
     from repro.sim.sweep import reset_worker_memo
@@ -126,10 +128,10 @@ def test_sampled_sweep_beats_long_region() -> None:
         os.environ["REPRO_CACHE_DIR"] = tmp
         reset_worker_memo()
         try:
-            start = time.perf_counter()
+            start = time.process_time()
             sampled = run_sampled("cachebw", "baseline", policy=policy,
                                   cache=False, **kw)
-            sampled_s = time.perf_counter() - start
+            sampled_s = time.process_time() - start
         finally:
             os.environ.pop("REPRO_CACHE_DIR", None)
 
@@ -137,18 +139,18 @@ def test_sampled_sweep_beats_long_region() -> None:
         os.environ["REPRO_CACHE_DIR"] = tmp
         reset_worker_memo()
         try:
-            start = time.perf_counter()
+            start = time.process_time()
             reference = run_workload("cachebw", "baseline",
                                      warmup_barriers=1,
                                      warmup_mode="functional", **kw)
-            long_s = time.perf_counter() - start
+            long_s = time.process_time() - start
         finally:
             os.environ.pop("REPRO_CACHE_DIR", None)
 
     est = sampled.stats["ipc"]
     improvement = long_s / sampled_s
-    print(f"\nsampled sweep: long {long_s:.2f}s vs sampled "
-          f"{sampled_s:.2f}s -> {improvement:.2f}x "
+    print(f"\nsampled sweep: long {long_s:.2f} CPU s vs sampled "
+          f"{sampled_s:.2f} CPU s -> {improvement:.2f}x "
           f"(ipc {est.mean:.3f} +/- {est.ci_half:.3f}, "
           f"full run {reference.ipc:.3f} over {reference.cycles} cycles)")
 

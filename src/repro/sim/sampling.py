@@ -31,7 +31,9 @@ existing machinery:
 
 * **Aggregation**: per-region rate stats are aggregated into a
   :class:`SampledResult` carrying mean, sample stddev, and Student-t
-  confidence intervals per stat.  The t critical value is computed
+  confidence intervals per stat.  Every region must measure its full
+  ``sample_cycles``: one anchored too close to the end of the trace
+  is refused, not averaged in.  The t critical value is computed
   from first principles (regularized incomplete beta + bisection) —
   no scipy dependency.
 
@@ -50,6 +52,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.common.errors import SimulationError
 from repro.sim.results import SimResult
 from repro.sim.sweep import SweepPoint, run_sweep
 
@@ -385,9 +388,23 @@ class SampledResult:
 def aggregate(point: SweepPoint, policy: SamplingPolicy,
               regions: List[SimResult],
               converged: bool = True) -> SampledResult:
-    """Fold per-region results into a :class:`SampledResult`."""
+    """Fold per-region results into a :class:`SampledResult`.
+
+    Raises :class:`SimulationError` if a region stopped short of
+    ``sample_cycles`` (its anchor sits too close to the end of the
+    trace): the estimator weighs every region alike, so a region that
+    ran out of trace would skew every rate stat.
+    """
     if not regions:
         raise ValueError("cannot aggregate zero regions")
+    for index, (region, anchor) in enumerate(zip(regions,
+                                                 policy.barriers())):
+        if region.cycles < policy.sample_cycles:
+            raise SimulationError(
+                f"{point.label()}: region {index} (anchor barrier "
+                f"{anchor}) ran out of trace after {region.cycles} of "
+                f"{policy.sample_cycles} cycles — use fewer samples, "
+                f"a shorter sample_cycles or a longer workload")
     stats = {name: estimate_stat(name, [fn(r) for r in regions],
                                  policy.confidence)
              for name, fn in REGION_STATS.items()}

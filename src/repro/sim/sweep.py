@@ -5,9 +5,9 @@ Every figure in the paper is a sweep over independent
 engine exploits the structure those grids share:
 
 * points are embarrassingly parallel — :func:`run_sweep` fans uncached
-  points out over a **persistent** :class:`ProcessPoolExecutor`
-  (reused across sweeps in one process, so repeated sweeps pay the
-  fork-and-import cost once);
+  points out over a :class:`ProcessPoolExecutor` that the sweep opens
+  and always closes before it returns or raises, so no worker outlives
+  the sweep or serves one whose environment it never saw;
 * many sweeps share points (every figure normalizes to the same
   baseline runs) — results are cached on disk, keyed by a stable hash
   of everything that determines the outcome, and duplicate submissions
@@ -65,8 +65,6 @@ single effective worker runs in-process with no pool at all.
 
 from __future__ import annotations
 
-import atexit
-import gc
 import hashlib
 import json
 import os
@@ -266,29 +264,13 @@ def _resolve_cache(cache) -> Optional[ResultCache]:
 # worker-side execution
 # ---------------------------------------------------------------------------
 
-#: set by the pool initializer; gates the worker-only GC check so the
-#: in-process execution path never trips it in the parent
-_IN_WORKER = False
-
 #: the process's memoizing checkpoint store (lazy; see _worker_ckpt_store)
 _WORKER_CKPT = None
 
 
 def _init_worker() -> None:
-    """Pool initializer: park the cyclic GC for the worker's lifetime.
-
-    Simulation objects die by refcount (see ``System.run``, which parks
-    the collector per run), so a worker that simulates many points
-    would otherwise re-pay collection churn between runs.  Freezing the
-    post-import heap also takes every long-lived object out of the
-    collector's view entirely.  The global trace cache gets a bounded
-    memo: a persistent worker touring a big grid must not accumulate
-    every trace it ever compiled.
-    """
-    global _IN_WORKER
-    _IN_WORKER = True
-    gc.disable()
-    gc.freeze()
+    """Pool initializer: bound the worker's trace memo, so a worker
+    touring a big grid does not keep every trace it ever compiled."""
     from repro.workloads import registry
     registry.TRACE_CACHE.memo_limit = _TRACE_MEMO_LIMIT
 
@@ -315,16 +297,6 @@ def reset_worker_memo() -> None:
     _WORKER_CKPT = None
 
 
-def _assert_parked() -> None:
-    """Fail the task if this worker's cyclic GC is not parked.
-
-    A plain ``raise`` rather than ``assert``, so the check survives
-    ``python -O``.
-    """
-    if _IN_WORKER and gc.isenabled():
-        raise RuntimeError("sweep worker GC was not parked")
-
-
 def _simulate(point: SweepPoint) -> Dict:
     """Simulate one point, routing warm restores through the memo."""
     from repro.sim.runner import run_workload
@@ -344,13 +316,14 @@ def _simulate(point: SweepPoint) -> Dict:
 
 
 def _execute_chunk(points: List[SweepPoint]
-                   ) -> Tuple[List[Dict], List[float], int]:
+                   ) -> Tuple[List[Dict], List[float], int, float]:
     """Worker entry: simulate a chunk of points back to back.
 
-    Returns the result dicts, per-point wall seconds, and how many warm
-    restores the chunk served from this worker's snapshot memo.
+    Returns the result dicts, per-point wall seconds, how many warm
+    restores the chunk served from this worker's snapshot memo, and
+    the chunk's CPU seconds in this worker.
     """
-    _assert_parked()
+    cpu_start = time.process_time()
     memo = _worker_ckpt_store()
     memo_before = memo.memo_hits if memo is not None else 0
     dicts: List[Dict] = []
@@ -360,7 +333,7 @@ def _execute_chunk(points: List[SweepPoint]
         dicts.append(_simulate(point))
         walls.append(time.perf_counter() - start)
     memo_hits = (memo.memo_hits - memo_before) if memo is not None else 0
-    return dicts, walls, memo_hits
+    return dicts, walls, memo_hits, time.process_time() - cpu_start
 
 
 def _warm_checkpoint_key(point: SweepPoint,
@@ -381,14 +354,16 @@ def _warm_checkpoint_key(point: SweepPoint,
         point.warmup_mode, chained=point.measure_cycles > 0)
 
 
-def _build_images(point: SweepPoint, barriers: List[int]) -> float:
+def _build_images(point: SweepPoint, barriers: List[int]
+                  ) -> Tuple[float, float]:
     """Worker entry: build the planned (just probed missing, so not
     re-probed) warm images at ``barriers``; returns the build's wall
-    seconds, its ``timings["build"]`` contribution."""
+    seconds (its ``timings["build"]`` contribution) and CPU seconds."""
     from repro.sim.runner import ensure_warm_states, resolve_point
     from repro.workloads.registry import build_trace_buffers
 
     start = time.perf_counter()
+    cpu_start = time.process_time()
     params, wl_kwargs = resolve_point(
         point.workload, point.config, point.num_cores,
         **dict(point.kwargs))
@@ -400,7 +375,7 @@ def _build_images(point: SweepPoint, barriers: List[int]) -> float:
                        point.warmup_mode, _worker_ckpt_store(),
                        point.max_cycles, force=barriers,
                        chained=point.measure_cycles > 0)
-    return time.perf_counter() - start
+    return time.perf_counter() - start, time.process_time() - cpu_start
 
 
 def run_point(point: SweepPoint, cache=None) -> SimResult:
@@ -409,49 +384,8 @@ def run_point(point: SweepPoint, cache=None) -> SimResult:
 
 
 # ---------------------------------------------------------------------------
-# the persistent worker pool
+# worker count
 # ---------------------------------------------------------------------------
-
-_POOL: Optional[ProcessPoolExecutor] = None
-_POOL_KEY: Optional[tuple] = None
-
-
-def _pool_identity(workers: int) -> tuple:
-    """What a live pool must agree with the parent on to be reusable.
-
-    Workers snapshot ``REPRO_*`` configuration and the working
-    directory (relative cache roots resolve against it) at fork time;
-    a parent-side change to either silently diverges the workers, so
-    it rotates the pool instead.
-    """
-    env = tuple(sorted((key, value) for key, value in os.environ.items()
-                       if key.startswith("REPRO_")))
-    return workers, os.getcwd(), env
-
-
-def _get_pool(workers: int) -> ProcessPoolExecutor:
-    global _POOL, _POOL_KEY
-    key = _pool_identity(workers)
-    if _POOL is not None and _POOL_KEY != key:
-        shutdown_pool()
-    if _POOL is None:
-        _POOL = ProcessPoolExecutor(max_workers=workers,
-                                    initializer=_init_worker)
-        _POOL_KEY = key
-    return _POOL
-
-
-def shutdown_pool() -> None:
-    """Shut down the persistent sweep worker pool, if one is live."""
-    global _POOL, _POOL_KEY
-    if _POOL is not None:
-        _POOL.shutdown(wait=True, cancel_futures=True)
-        _POOL = None
-        _POOL_KEY = None
-
-
-atexit.register(shutdown_pool)
-
 
 def resolve_jobs(jobs: Optional[int]) -> int:
     """``0``/``None`` -> one worker per CPU (the ``--jobs auto``
@@ -540,7 +474,9 @@ _LAST_STATS: Dict[str, object] = {}
 def last_sweep_stats() -> Dict[str, object]:
     """Executor telemetry from the most recent :func:`run_sweep`:
     point counts, cache hits, workers/chunks/builds scheduled, how
-    many warm restores were served from worker snapshot memos, and a
+    many warm restores were served from worker snapshot memos, the
+    CPU ledger — ``parent_cpu_s`` (this process, over the call) and
+    ``worker_cpu_s`` (summed over pool tasks; 0.0 in-process) — and a
     ``timings`` dict of per-phase seconds — ``probe`` (cache lookups),
     ``plan`` (chunk planning), ``build`` (the planned warm-image
     builds, direct images and sampled chains, summed across workers),
@@ -572,6 +508,7 @@ def run_sweep(points: Sequence[Union[SweepPoint, dict]],
     Cache hits are announced before anything runs, so their ``eta``
     is None while points are pending and 0.0 when none are.
     """
+    cpu_start = time.process_time()
     normalized: List[SweepPoint] = [
         SweepPoint.make(**p) if isinstance(p, dict) else p for p in points]
     store = _resolve_cache(cache)
@@ -602,6 +539,7 @@ def run_sweep(points: Sequence[Union[SweepPoint, dict]],
         "cache_hits": len(results), "executed": len(pending),
         "workers": 0, "chunks": 0, "builds": 0,
         "ckpt_memo_hits": 0, "wall_seconds": 0.0,
+        "worker_cpu_s": 0.0, "parent_cpu_s": 0.0,
         "timings": timings,
     }
 
@@ -649,7 +587,7 @@ def run_sweep(points: Sequence[Union[SweepPoint, dict]],
             memo_before = memo.memo_hits if memo is not None else 0
             for gate, items in chunks:
                 if gate in builds:
-                    timings["build"] += _build_images(*builds.pop(gate))
+                    timings["build"] += _build_images(*builds.pop(gate))[0]
                 for key, point in items:
                     start = time.perf_counter()
                     data = _simulate(point)
@@ -662,6 +600,7 @@ def run_sweep(points: Sequence[Union[SweepPoint, dict]],
         timings["dispatch"] = (time.perf_counter() - dispatch_start
                                - timings["commit"] - timings["build"])
 
+    stats["parent_cpu_s"] = time.process_time() - cpu_start
     _LAST_STATS.clear()
     _LAST_STATS.update(stats)
     return [results[key] for key in keys]
@@ -670,18 +609,21 @@ def run_sweep(points: Sequence[Union[SweepPoint, dict]],
 def _run_on_pool(builds: _Builds, chunks: _Planned,
                  workers: int, commit: Callable, stats: Dict,
                  timings: Dict[str, float]) -> None:
-    """Drive the planned tasks over the persistent worker pool.
+    """Drive the planned tasks over a worker pool opened for this sweep.
 
     Warm builds go out first; chunks waiting on one stay parked until
     it lands, everything else dispatches immediately
-    in submission order.  Completions commit as they arrive.  On any
-    task failure the remaining futures are cancelled and the pool is
-    retired — results already committed stay committed, which is what
+    in submission order.  Completions commit as they arrive, and each
+    task's CPU seconds add to ``stats["worker_cpu_s"]``.  The pool
+    closes however the loop ends: on a task failure the queued futures
+    are cancelled and the workers joined before the error re-raises —
+    results already committed stay committed, which is what
     crash-resume leans on.  ``timings["build"]`` accumulates
     worker-side warm-build seconds (summed across workers, so it can
     exceed the phase's wall clock).
     """
-    pool = _get_pool(workers)
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               initializer=_init_worker)
     gated: Dict[str, List[_Items]] = {}
     in_flight = {}
 
@@ -690,33 +632,32 @@ def _run_on_pool(builds: _Builds, chunks: _Planned,
                               [point for _, point in items])] = \
             ("chunk", items)
 
-    for gate, (point, barriers) in builds.items():
-        in_flight[pool.submit(_build_images, point, barriers)] = \
-            ("build", gate)
-    for gate, items in chunks:
-        if gate in builds:
-            gated.setdefault(gate, []).append(items)
-        else:
-            submit(items)
-
     try:
+        for gate, (point, barriers) in builds.items():
+            in_flight[pool.submit(_build_images, point, barriers)] = \
+                ("build", gate)
+        for gate, items in chunks:
+            if gate in builds:
+                gated.setdefault(gate, []).append(items)
+            else:
+                submit(items)
+
         while in_flight:
             done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
             for future in done:
                 kind, payload = in_flight.pop(future)
                 if kind == "build":
-                    timings["build"] += future.result()
+                    wall, cpu = future.result()
+                    timings["build"] += wall
                     for items in gated.pop(payload, []):
                         submit(items)
                 else:
-                    dicts, walls, memo_hits = future.result()
+                    dicts, walls, memo_hits, cpu = future.result()
                     stats["ckpt_memo_hits"] = \
                         int(stats["ckpt_memo_hits"]) + memo_hits
                     for (key, point), data, wall in zip(
                             payload, dicts, walls):
                         commit(key, point, data, wall)
-    except BaseException:
-        for future in in_flight:
-            future.cancel()
-        shutdown_pool()
-        raise
+                stats["worker_cpu_s"] = float(stats["worker_cpu_s"]) + cpu
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

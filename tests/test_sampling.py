@@ -157,17 +157,20 @@ class TestConvergence:
         same anchor — the estimate is unbiased within its own error
         bars, not merely close."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        # at this workload size the full-run reference includes the
-        # end-of-run drain, so regions must be long enough to reach it
-        # too — shorter regions sample only steady state and sit above
-        # the drain-weighted full-run average on tight-CI stats.
+        # Every region must measure its full 9000 cycles (a region that
+        # ran out of trace is refused), so none reaches the end-of-run
+        # drain.  The regions are spread evenly over a 20-phase run
+        # (anchors 1, 5, 9 and 13), systematic sampling across the
+        # timeline, so the drain weighs little in the full-run value.
+        sizes = dict(SIZES, iters=20)
         policy = SamplingPolicy(samples=4, sample_cycles=9000,
+                                barrier_stride=4,
                                 warmup_mode="functional")
         sampled = run_sampled("cachebw", config, num_cores=4, seed=1,
-                              policy=policy, **SIZES)
+                              policy=policy, **sizes)
         reference = run_workload("cachebw", config, num_cores=4, seed=1,
                                  warmup_barriers=1,
-                                 warmup_mode="functional", **SIZES)
+                                 warmup_mode="functional", **sizes)
         for name, fn in REGION_STATS.items():
             est = sampled.stats[name]
             assert est.covers(fn(reference)), (
@@ -312,3 +315,26 @@ class TestDetachWindow:
                          warmup_barriers=1, warmup_mode="functional",
                          measure_cycles=1500, detach_cycles=10_000_000,
                          **SIZES)
+
+
+class TestShortRegions:
+    def test_region_that_ran_out_of_trace_is_rejected(
+            self, tmp_path, monkeypatch) -> None:
+        """Anchor 3 is this trace's last barrier: its region retires
+        nothing and stops after 1 of its 1000 cycles.  Averaging it
+        with full weight would put a ~0 IPC into the estimate, so the
+        aggregation names the region and refuses."""
+        from repro.common.errors import SimulationError
+        from repro.sim.config import bench_kwargs
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        point = SweepPoint.make("cachebw", "baseline", num_cores=4,
+                                topology="mesh", **bench_kwargs())
+        policy = SamplingPolicy(samples=3, sample_cycles=1000,
+                                warmup_mode="functional")
+        with pytest.raises(SimulationError,
+                           match=r"region 2 \(anchor barrier 3\)"):
+            run_sampled_grid([point], policy, cache=False)
+        two = run_sampled_grid([point], SamplingPolicy(
+            samples=2, sample_cycles=1000, warmup_mode="functional"),
+            cache=False)[0]
+        assert [r.cycles for r in two.regions] == [1000, 1000]

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.sim.config import bench_kwargs
 from repro.sim.results import SimResult
 from repro.sim.runner import run_comparison, run_workload
@@ -196,26 +194,6 @@ class TestTraceSharing:
         parallel = run_sweep(points, jobs=2)
         assert [r.to_dict() for r in parallel] == [
             r.to_dict() for r in serial]
-
-
-class TestWorkerGCParking:
-    def test_workers_run_with_gc_parked(self, many_cpus) -> None:
-        """The pool initializer disables the cyclic GC in every worker;
-        the in-worker check raises (failing the sweep) if it did not."""
-        points = [SweepPoint.make("pathfinder", config, seed=779, **FAST)
-                  for config in ("noprefetch", "ordpush")]
-        results = run_sweep(points, jobs=2)
-        assert all(r.cycles > 0 for r in results)
-
-    def test_unparked_worker_gc_raises(self, monkeypatch) -> None:
-        """The check needs no opt-in and is a raise, not an ``assert``
-        that ``python -O`` would strip."""
-        from repro.sim import sweep
-
-        monkeypatch.setattr(sweep, "_IN_WORKER", True)
-        monkeypatch.setattr(sweep.gc, "isenabled", lambda: True)
-        with pytest.raises(RuntimeError, match="GC was not parked"):
-            sweep._assert_parked()
 
 
 class TestRunComparisonRewired:

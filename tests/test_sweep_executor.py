@@ -9,11 +9,14 @@ from a memo, what survived a crash).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 from repro.cli import build_parser
 from repro.sim import sweep
@@ -200,6 +203,57 @@ class TestDuplicateFanBack:
         assert results[0].to_dict() == results[2].to_dict()
         assert results[0].to_dict() == results[3].to_dict()
         assert results[1].to_dict() == results[4].to_dict()
+
+
+class TestWorkerLifetime:
+    """A parallel sweep owns its worker processes for exactly its own
+    duration, and reports their CPU seconds in its ledger."""
+
+    def test_in_process_ledger(self, tmp_path, monkeypatch) -> None:
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        run_sweep(_points(seed0=71), jobs=1, cache=False)
+        stats = last_sweep_stats()
+        assert stats["worker_cpu_s"] == 0.0
+        assert stats["parent_cpu_s"] > 0.0
+
+    def test_pool_ledger_and_no_workers_left(self, tmp_path, monkeypatch,
+                                             many_cpus) -> None:
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        run_sweep(_points(seed0=72), jobs=2, cache=False)
+        stats = last_sweep_stats()
+        assert stats["workers"] == 2
+        assert stats["worker_cpu_s"] > 0.0
+        assert stats["parent_cpu_s"] > 0.0
+        assert multiprocessing.active_children() == []
+
+    def test_no_workers_left_after_a_failing_sweep(
+            self, tmp_path, monkeypatch, many_cpus) -> None:
+        """A worker-side failure re-raises in the parent after the
+        pool is gone."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        bad = SweepPoint.make("pathfinder", "noprefetch", seed=73,
+                              measure_cycles=100, **FAST)
+        with pytest.raises(ValueError, match="measure_cycles requires"):
+            run_sweep([bad] + _points(seed0=73), jobs=2, cache=False)
+        assert multiprocessing.active_children() == []
+
+    def test_each_cache_root_gets_its_own_writes(
+            self, tmp_path, monkeypatch, many_cpus) -> None:
+        """Workers write warm images and traces where the parent's
+        ``REPRO_CACHE_DIR`` points at the time of the sweep, so two
+        sweeps under two roots fill both roots alike."""
+        points = _warm_points(seed=74)
+        counts = []
+        for name in ("a", "b"):
+            root = tmp_path / name
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+            run_sweep(points, jobs=2, cache=True)
+            counts.append({ns: len(list(root.glob(f"index/{ns}/*.json")))
+                           for ns in ("results", "ckpt", "traces")})
+        assert counts[0] == counts[1]
+        assert counts[0]["results"] == len(points)
+        assert counts[0]["ckpt"] == 2
+        assert counts[0]["traces"] > 0
 
 
 class TestCrashResume:
