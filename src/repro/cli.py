@@ -133,7 +133,8 @@ def _sampling_policy(args: argparse.Namespace):
         return None
     from repro.sim.sampling import SamplingPolicy
     return SamplingPolicy(samples=args.samples,
-                          sample_cycles=args.sample_cycles,
+                          sample_cycles=(2000 if args.sample_cycles is None
+                                         else args.sample_cycles),
                           detach_cycles=args.detach_cycles,
                           warmup_barriers=max(args.warmup_barriers, 1),
                           warmup_mode=args.warmup_mode,
@@ -200,6 +201,32 @@ def _jobs_arg(value: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected a count >= 0 or 'auto', got {value!r}")
     return jobs
+
+
+def _seeds_arg(value: str) -> int:
+    """``--seeds`` parser: a count >= 1."""
+    try:
+        seeds = int(value)
+    except ValueError:
+        seeds = 0
+    if seeds < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a count >= 1, got {value!r}")
+    return seeds
+
+
+def _check_sampling_flags(parser: argparse.ArgumentParser,
+                          args: argparse.Namespace) -> None:
+    """Reject sampling flags given without ``--samples``: they would
+    be silently ignored by a full run."""
+    if getattr(args, "samples", None) != 0:
+        return
+    for flag, value, default in (
+            ("--sample-cycles", args.sample_cycles, None),
+            ("--detach-cycles", args.detach_cycles, 0),
+            ("--ci-target", args.ci_target, 0.0)):
+        if value != default:
+            parser.error(f"{flag} needs --samples K (K >= 1)")
 
 
 def _progress_printer():
@@ -439,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "confidence intervals (default 0 = off; "
                             "--warmup-barriers sets the first region's "
                             "anchor, default barrier 1)")
-        p.add_argument("--sample-cycles", type=int, default=2000,
+        p.add_argument("--sample-cycles", type=int, default=None,
                        metavar="N",
                        help="measured cycles per region (default 2000)")
         p.add_argument("--detach-cycles", type=int, default=0,
@@ -487,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--configs", nargs="+",
                          default=["baseline", "ordpush"],
                          choices=list(CONFIG_NAMES))
-    sweep_p.add_argument("--seeds", type=int, default=1,
+    sweep_p.add_argument("--seeds", type=_seeds_arg, default=1,
                          help="number of derived seeds per config")
     sweep_p.add_argument("--jobs", type=_jobs_arg, default=1,
                          metavar="N|auto",
@@ -583,6 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_sampling_flags(parser, args)
     return args.func(args)
 
 

@@ -6,7 +6,7 @@ import argparse
 
 import pytest
 
-from repro.cli import _jobs_arg, build_parser, main
+from repro.cli import _jobs_arg, _sampling_policy, build_parser, main
 
 
 class TestParser:
@@ -71,6 +71,13 @@ class TestCommands:
             build_parser().parse_args(["sweep", "cachebw", "--jobs", "-3"])
         assert "count >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-3", "two"])
+    def test_seeds_rejects_counts_below_one(self, capsys, count) -> None:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["sweep", "pathfinder", "--seeds", count])
+        assert "count >= 1" in capsys.readouterr().err
+
     def test_sweep_small(self, capsys, tmp_path, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         out = tmp_path / "sweep.json"
@@ -119,6 +126,32 @@ class TestWarmupFlags:
         assert list(Store(tmp_path / "cache").entries("ckpt"))
 
 
+class TestSamplingFlags:
+    @pytest.mark.parametrize("command", [["run", "pathfinder", "ordpush"],
+                                         ["sweep", "pathfinder"]])
+    @pytest.mark.parametrize("flag,value", [("--sample-cycles", "2000"),
+                                            ("--detach-cycles", "500"),
+                                            ("--ci-target", "0.05")])
+    def test_rejected_without_samples(self, capsys, command, flag,
+                                      value) -> None:
+        """A full run would silently ignore them, so they are a parser
+        error naming the flag (an explicit --sample-cycles too, even at
+        its default value)."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--cores", "4", "--scaled", flag, value])
+        assert exit_info.value.code == 2
+        assert f"{flag} needs --samples" in capsys.readouterr().err
+
+    def test_sample_cycles_defaults_to_2000(self) -> None:
+        args = build_parser().parse_args(
+            ["run", "pathfinder", "ordpush", "--samples", "3"])
+        assert _sampling_policy(args).sample_cycles == 2000
+        args = build_parser().parse_args(
+            ["run", "pathfinder", "ordpush", "--samples", "3",
+             "--sample-cycles", "500"])
+        assert _sampling_policy(args).sample_cycles == 500
+
+
 class TestCacheCommand:
     def _populate(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -132,8 +165,9 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        for section in ("results", "traces", "checkpoints", "total"):
-            assert section in out
+        sections = [line.split()[0] for line in out.splitlines()[2:]]
+        assert sections == ["results", "checkpoints", "unreferenced",
+                            "total"]
 
     def test_gc_to_zero_empties_the_tree(self, capsys, tmp_path,
                                          monkeypatch) -> None:

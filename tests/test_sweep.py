@@ -47,6 +47,20 @@ class TestSweepPoint:
         assert point_key(point) == (
             "d07a92853a9ed5e49797d74434d75e6b6a11c312e8634e9a9dc1b5921294ef06")
 
+    def test_trace_and_warm_image_keys_are_pinned(self) -> None:
+        """The trace key keeps its spec byte for byte: every warm-image
+        key hashes it, so a change would orphan every stored image."""
+        from repro.cpu.tracebuf import trace_key
+        from repro.sim.checkpoint import checkpoint_key
+        from repro.sim.config import make_params
+
+        assert trace_key("mv", 8, 3, {"rows_per_core": 4}) == (
+            "fd0f472b6614f8d7214e767f9de5642e0192b2b91a32124d8717e3893b5a56f0")
+        params = make_params("ordpush", num_cores=4, **bench_kwargs())
+        assert checkpoint_key(params, "pathfinder", 4, 1, {"iters": 4}, 2,
+                              "functional") == (
+            "6d7f08c3458b55bb2305036329301a0d81c29cc10e98c43bf3a33cd273afb944")
+
     def test_key_changes_with_seed_and_workload(self) -> None:
         base = SweepPoint.make("pathfinder", seed=1, **FAST)
         other_seed = SweepPoint.make("pathfinder", seed=2, **FAST)
@@ -168,32 +182,39 @@ class TestTraceSharing:
         fields (sampled regions), v7 the detach window."""
         assert RESULT_SCHEMA_VERSION == 7
 
-    def test_sweep_builds_each_trace_once(self, tmp_path,
-                                          monkeypatch) -> None:
+    def test_sweep_builds_each_trace_once(self, monkeypatch) -> None:
         """Two configs at one point compile one trace (acceptance)."""
         from repro.cpu.tracebuf import TraceCache
 
-        store = TraceCache(tmp_path)
-        monkeypatch.setattr(registry, "TRACE_CACHE", store)
+        memo = TraceCache()
+        monkeypatch.setattr(registry, "TRACE_CACHE", memo)
         points = [SweepPoint.make("pathfinder", config, seed=777, **FAST)
                   for config in ("noprefetch", "ordpush", "baseline")]
         run_sweep(points, jobs=1)
-        assert store.builds == 1
-        assert store.memo_hits == len(points) - 1
+        assert memo.builds == 1
+        assert memo.memo_hits == len(points) - 1
 
-    def test_parallel_workers_share_trace_via_disk(self, tmp_path,
-                                                   monkeypatch,
-                                                   many_cpus) -> None:
-        """Worker processes reuse the on-disk buffers where available;
-        results stay bit-identical either way."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_traces_never_reach_the_store(self, tmp_path, monkeypatch,
+                                          many_cpus) -> None:
+        """Serial and parallel sweeps and a cold run, each starting
+        from an empty trace memo, leave no file under the store root;
+        the parallel sweep still equals the serial one."""
+        from repro.cpu.tracebuf import TraceCache
+
         points = [SweepPoint.make("pathfinder", config, seed=778, **FAST)
                   for config in ("noprefetch", "ordpush")]
-        serial = run_sweep(points, jobs=1)
-        assert list(tmp_path.glob("index/traces/*.json"))
-        parallel = run_sweep(points, jobs=2)
-        assert [r.to_dict() for r in parallel] == [
-            r.to_dict() for r in serial]
+        runs = {}
+        for name, run in (
+                ("serial", lambda: run_sweep(points, jobs=1)),
+                ("parallel", lambda: run_sweep(points, jobs=2)),
+                ("cold", lambda: [run_workload("pathfinder", "ordpush",
+                                               seed=778, **FAST)])):
+            root = tmp_path / name
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+            monkeypatch.setattr(registry, "TRACE_CACHE", TraceCache())
+            runs[name] = [r.to_dict() for r in run()]
+            assert not root.exists(), name
+        assert runs["parallel"] == runs["serial"]
 
 
 class TestRunComparisonRewired:
