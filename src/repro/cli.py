@@ -132,9 +132,10 @@ def _sampling_policy(args: argparse.Namespace):
     if not getattr(args, "samples", 0):
         return None
     from repro.sim.sampling import SamplingPolicy
-    return SamplingPolicy(samples=args.samples,
-                          sample_cycles=(2000 if args.sample_cycles is None
-                                         else args.sample_cycles),
+    # an unset --sample-cycles keeps the policy's own default
+    cycles = ({} if args.sample_cycles is None
+              else {"sample_cycles": args.sample_cycles})
+    return SamplingPolicy(samples=args.samples, **cycles,
                           detach_cycles=args.detach_cycles,
                           warmup_barriers=max(args.warmup_barriers, 1),
                           warmup_mode=args.warmup_mode,

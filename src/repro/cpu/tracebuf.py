@@ -21,12 +21,15 @@ is one chunk, never the whole trace.  What is left per record is the
 generator itself; :func:`repro.workloads.base.access` and ``scan`` keep
 that to the random draws and one ``tuple.__new__``.
 
-:class:`TraceCache` memoizes compiled buffers in-process, keyed by the
-trace's content hash, so every configuration of a point that runs in
-one process shares one compilation.  Nothing is written to disk:
-rebuilding a trace costs 1-2 % of one point's CPU, and a pool worker
-lives for one sweep, so it compiles at most the traces of its own
-chunks.
+:class:`TraceCache` stores compiled buffers in two layers: an
+in-process memo keyed by the trace's content hash, and the unified
+content-addressed store's ``traces`` namespace (:mod:`repro.store`) —
+the same root as the sweep's result cache (``.repro_cache/``,
+relocatable with ``REPRO_CACHE_DIR``) — so sweep worker processes and
+later sessions share one compilation per point.  Serialization is a
+fixed little-endian layout, so the same ``(workload, num_cores, seed,
+sizes)`` produces byte-identical objects across processes; corrupt or
+truncated entries are treated as misses.
 """
 
 from __future__ import annotations
@@ -34,19 +37,20 @@ from __future__ import annotations
 import array
 import hashlib
 import json
+import struct
+import sys
+from collections import OrderedDict
 from itertools import islice
-from typing import Callable, Dict, Iterable, Iterator, List
+from pathlib import Path
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.cpu.traces import BARRIER, MemAccess, TraceRecord
+from repro.store import TRACE_SCHEMA_VERSION, Store
 
 __all__ = ["TRACE_SCHEMA_VERSION", "TraceBuffer", "TraceCache",
-           "trace_key"]
+           "dump_buffers", "load_buffers", "trace_key"]
 
-#: Compiled trace-buffer layout version; bump when buffer layout or
-#: compilation semantics change.  :func:`trace_key` hashes it, and so
-#: does every warm-image key built on a trace key.
-TRACE_SCHEMA_VERSION = 1
-
+_MAGIC = b"RTB1"
 _COLUMNS = ("addr", "is_write", "work", "insts", "pc")
 #: the row a :data:`BARRIER` compiles to
 _BARRIER_ROW = (-1, 0, 0, 0, 0)
@@ -121,7 +125,53 @@ class TraceBuffer:
 
 
 # ---------------------------------------------------------------------
-# content addressing and the memo
+# serialization (one file = every core's buffer for one trace point)
+# ---------------------------------------------------------------------
+
+def dump_buffers(buffers: List[TraceBuffer]) -> bytes:
+    """Serialize per-core buffers to a deterministic byte string."""
+    parts = [_MAGIC, struct.pack("<I", len(buffers))]
+    for buf in buffers:
+        parts.append(struct.pack("<Q", len(buf)))
+        for name in _COLUMNS:
+            col = getattr(buf, name)
+            if sys.byteorder != "little":
+                col = array.array("q", col)
+                col.byteswap()
+            parts.append(col.tobytes())
+    return b"".join(parts)
+
+
+def load_buffers(blob: bytes) -> List[TraceBuffer]:
+    """Inverse of :func:`dump_buffers`; raises ValueError on corruption."""
+    if blob[:4] != _MAGIC:
+        raise ValueError("not a trace-buffer file")
+    (count,) = struct.unpack_from("<I", blob, 4)
+    offset = 8
+    buffers = []
+    for _ in range(count):
+        if offset + 8 > len(blob):
+            raise ValueError("truncated trace-buffer file")
+        (n,) = struct.unpack_from("<Q", blob, offset)
+        offset += 8
+        nbytes = n * 8
+        columns = []
+        for _name in _COLUMNS:
+            chunk = blob[offset:offset + nbytes]
+            if len(chunk) != nbytes:
+                raise ValueError("truncated trace-buffer file")
+            col = array.array("q")
+            col.frombytes(chunk)
+            if sys.byteorder != "little":
+                col.byteswap()
+            offset += nbytes
+            columns.append(col)
+        buffers.append(TraceBuffer(*columns))
+    return buffers
+
+
+# ---------------------------------------------------------------------
+# content addressing and the two-layer cache
 # ---------------------------------------------------------------------
 
 def trace_key(workload: str, num_cores: int, seed: int,
@@ -140,27 +190,57 @@ def trace_key(workload: str, num_cores: int, seed: int,
 
 
 class TraceCache:
-    """In-process memo of compiled trace buffers, keyed by trace key.
+    """In-process memo + on-disk store of compiled trace buffers.
 
-    ``builds`` counts actual generator materializations and
-    ``memo_hits`` counts reuse, which is how the sweep tests prove each
-    point's trace is compiled exactly once per process.
+    ``builds`` counts actual generator materializations;
+    ``memo_hits`` / ``disk_hits`` count reuse, which is how the sweep
+    tests prove each point's trace is compiled exactly once.
+
+    ``memo_limit`` bounds the in-process memo (LRU over buffer sets;
+    None = unbounded).  Long-lived sweep workers set a small limit so
+    touring a huge grid never accumulates every trace it ever compiled.
     """
 
-    def __init__(self) -> None:
-        self.memo: Dict[str, List[TraceBuffer]] = {}
+    def __init__(self, root: Union[str, Path, None] = None,
+                 memo_limit: Optional[int] = None) -> None:
+        self._root = root
+        self.memo: "OrderedDict[str, List[TraceBuffer]]" = OrderedDict()
+        self.memo_limit = memo_limit
         self.builds = 0
         self.memo_hits = 0
+        self.disk_hits = 0
+
+    def _trim(self) -> None:
+        if self.memo_limit is not None:
+            while len(self.memo) > self.memo_limit:
+                self.memo.popitem(last=False)
 
     def get_or_build(self, key: str,
                      build: Callable[[], List[TraceBuffer]]
                      ) -> List[TraceBuffer]:
-        """The memoized buffers for ``key``, compiling on first use."""
+        """The cached buffers for ``key``, compiling on first use."""
         buffers = self.memo.get(key)
         if buffers is not None:
+            self.memo.move_to_end(key)
             self.memo_hits += 1
+            return buffers
+        # resolved per call, so a repointed REPRO_CACHE_DIR takes effect
+        store = Store(self._root)
+        blob = store.get("traces", key)
+        if blob is not None:
+            try:
+                buffers = load_buffers(blob)
+            except ValueError:
+                buffers = None
+        if buffers is not None:
+            self.disk_hits += 1
+            self.memo[key] = buffers
+            self._trim()
             return buffers
         buffers = build()
         self.builds += 1
         self.memo[key] = buffers
+        self._trim()
+        store.set("traces", key, dump_buffers(buffers))
         return buffers
+

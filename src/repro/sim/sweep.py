@@ -86,6 +86,9 @@ _CHUNK_CAP = 16
 #: Parsed warm snapshots kept per worker (each can be tens of MB).
 _CKPT_MEMO_LIMIT = 4
 
+#: Compiled trace-buffer sets kept per worker.
+_TRACE_MEMO_LIMIT = 16
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -212,7 +215,7 @@ class ResultCache:
     A thin wrapper around the store's ``results`` namespace: keys map to
     content-addressed objects holding the sorted-JSON record, and
     writes are atomic.  ``REPRO_CACHE_DIR`` is resolved per call, like
-    the checkpoint store.
+    the trace and checkpoint stores.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -263,6 +266,13 @@ def _resolve_cache(cache) -> Optional[ResultCache]:
 
 #: the process's memoizing checkpoint store (lazy; see _worker_ckpt_store)
 _WORKER_CKPT = None
+
+
+def _init_worker() -> None:
+    """Pool initializer: bound the worker's trace memo, so a worker
+    touring a big grid does not keep every trace it ever compiled."""
+    from repro.workloads import registry
+    registry.TRACE_CACHE.memo_limit = _TRACE_MEMO_LIMIT
 
 
 def _worker_ckpt_store():
@@ -612,7 +622,8 @@ def _run_on_pool(builds: _Builds, chunks: _Planned,
     worker-side warm-build seconds (summed across workers, so it can
     exceed the phase's wall clock).
     """
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               initializer=_init_worker)
     gated: Dict[str, List[_Items]] = {}
     in_flight = {}
 

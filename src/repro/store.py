@@ -1,8 +1,7 @@
 """The content-addressed cache store: one root, typed namespaces.
 
-Everything the simulator persists — sweep results and warm-state
-checkpoints — lives under one root directory (compiled trace buffers
-are memoized per process and never stored)::
+Everything the simulator memoizes — sweep results, compiled trace
+buffers, warm-state checkpoints — lives under one root directory::
 
     objects/<digest[:2]>/<digest[2:]>   immutable blobs, named by the
                                         SHA-256 of their stored bytes
@@ -19,12 +18,8 @@ fallback warning and ``stats`` label.  An untrusted entry — corrupt,
 version-mismatched, or pointing at an object that is missing or fails
 verification — reads as a miss: at worst a cold rebuild, never a crash
 and never stale data replayed under new semantics.  Every write is
-atomic (``*.tmp`` staging file + ``os.replace``).  Only the entries of
-the namespaces in :data:`NAMESPACES` and the ``objects/`` tree are
-read, counted or deleted: anything else under the root, such as the
-``index/traces/`` entries an older layout wrote, is a foreign file,
-and the objects it names count as unreferenced until ``gc`` reclaims
-them.
+atomic (``*.tmp`` staging file + ``os.replace``).  Only the ``index/``
+and ``objects/`` trees are read, counted or deleted.
 """
 
 from __future__ import annotations
@@ -58,15 +53,20 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: measured after detailed warming never aliases an undetached one.
 RESULT_SCHEMA_VERSION = 7
 
+#: Compiled trace-buffer layout version; bump when buffer layout or
+#: compilation semantics change.
+TRACE_SCHEMA_VERSION = 1
+
 #: Warm-state snapshot layout version; mismatched stored checkpoints
 #: are treated as misses (cold rebuild), never as errors.
 CKPT_SCHEMA_VERSION = 1
 
 #: namespace -> (schema version, object codec, warn when an entry is
 #: discarded, ``stats`` label).  The checkpoint store has always
-#: warned; results miss quietly.
+#: warned; results and traces miss quietly.
 NAMESPACES: Dict[str, Tuple[int, str, bool, str]] = {
     "results": (RESULT_SCHEMA_VERSION, "raw", False, "results"),
+    "traces": (TRACE_SCHEMA_VERSION, "raw", False, "traces"),
     "ckpt": (CKPT_SCHEMA_VERSION, "gzip", True, "checkpoints"),
 }
 
@@ -84,8 +84,9 @@ def cache_root(root: Union[str, Path, None] = None) -> Path:
     """The cache root: ``root``, else ``REPRO_CACHE_DIR``, else
     ``.repro_cache``.
 
-    The one place root resolution happens — the result cache,
-    checkpoint store, and cache management all resolve through here.
+    The one place root resolution happens — the result cache, trace
+    cache, checkpoint store, and cache management all resolve through
+    here.
     """
     if root is None:
         root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)

@@ -5,7 +5,7 @@
 harness uses — it materializes the generators once per
 ``(workload, num_cores, seed, sizes)`` into flat
 :class:`~repro.cpu.tracebuf.TraceBuffer` columns and shares them
-through the process's trace memo, so a sweep process compiles each
+through the content-addressed trace cache, so a sweep compiles each
 point's trace exactly once across all its configurations.
 ``WORKLOADS`` carries the metadata the benchmarks and documentation
 consume (paper input, sharing profile, suggested outstanding-miss
@@ -130,7 +130,7 @@ def suggested_window(name: str) -> Optional[int]:
     return definition.suggested_window if definition else None
 
 
-#: process-wide trace memo shared by every run in this interpreter
+#: process-wide trace store shared by every run in this interpreter
 TRACE_CACHE = TraceCache()
 
 
@@ -139,15 +139,16 @@ def build_trace_buffers(name: str, num_cores: int, seed: int = 1,
                         **sizes) -> List[TraceBuffer]:
     """Compiled per-core trace buffers for a catalogued workload.
 
-    Buffers are immutable and content-addressed, so repeat calls in
-    one process for the same point (any number of hardware
-    configurations) return the same compiled trace from the memo.
+    Buffers are immutable and content-addressed, so repeat calls for
+    the same point (any number of hardware configurations) return the
+    same compiled trace — from the in-process memo, or from the on-disk
+    layer when another process already built it.
     """
     if name not in WORKLOADS:
         raise ConfigError(
             f"unknown workload {name!r}; known: {sorted(WORKLOADS)}")
-    memo = TRACE_CACHE if cache is None else cache
+    store = TRACE_CACHE if cache is None else cache
     key = trace_key(name, num_cores, seed, sizes)
-    return memo.get_or_build(key, lambda: [
+    return store.get_or_build(key, lambda: [
         TraceBuffer.compile(trace)
         for trace in build_traces(name, num_cores, seed=seed, **sizes)])

@@ -3,15 +3,11 @@
 ``ControllerHarness`` wires a private cache or an LLC slice to a
 capture-everything outbox and a manually-advanced scheduler, so protocol
 unit tests can inject one message at a time and assert on the exact
-replies.  :func:`dump_buffers` gives compiled traces a fixed byte form
-for the trace-digest tests.
+replies.
 """
 
 from __future__ import annotations
 
-import array
-import struct
-import sys
 from types import SimpleNamespace
 from typing import Dict, List, Optional
 
@@ -23,24 +19,7 @@ from repro.cache.llc import LLCSlice
 from repro.cache.private_cache import PrivateCache
 from repro.cache.sram import (CacheArray, F_ACCESSED, F_BLOCKED, F_DIRTY,
                               F_PREFETCHED, F_PUSHED)
-from repro.cpu.tracebuf import _COLUMNS, TraceBuffer
 from repro.sim.config import make_params
-
-_MAGIC = b"RTB1"
-
-
-def dump_buffers(buffers: List[TraceBuffer]) -> bytes:
-    """Serialize per-core buffers to a deterministic byte string."""
-    parts = [_MAGIC, struct.pack("<I", len(buffers))]
-    for buf in buffers:
-        parts.append(struct.pack("<Q", len(buf)))
-        for name in _COLUMNS:
-            col = getattr(buf, name)
-            if sys.byteorder != "little":
-                col = array.array("q", col)
-                col.byteswap()
-            parts.append(col.tobytes())
-    return b"".join(parts)
 
 
 def resident_line(array: CacheArray,

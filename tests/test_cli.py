@@ -165,9 +165,8 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        sections = [line.split()[0] for line in out.splitlines()[2:]]
-        assert sections == ["results", "checkpoints", "unreferenced",
-                            "total"]
+        for section in ("results", "traces", "checkpoints", "total"):
+            assert section in out
 
     def test_gc_to_zero_empties_the_tree(self, capsys, tmp_path,
                                          monkeypatch) -> None:

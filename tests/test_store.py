@@ -20,18 +20,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.cpu.tracebuf import TraceCache, load_buffers
 from repro.sim.checkpoint import CheckpointStore
 from repro.sim.sweep import ResultCache
-from repro.store import (NAMESPACES, RESULT_SCHEMA_VERSION, Store,
-                         cache_root, pull, push)
+from repro.store import (RESULT_SCHEMA_VERSION, Store, cache_root, pull,
+                         push)
 
 #: A store written by the commit before the store became one module:
 #: one ``results`` entry with the ``wall``/``cost`` scheduling meta
 #: sweeps stamped then, one ``traces`` entry and one gzip ``ckpt``
-#: entry.  The ``traces`` namespace is gone since, so its entry is a
-#: foreign file and its object is unreferenced.  Regenerate it (with the
-#: code of the day) only when a schema version bump makes its entries
-#: stale.
+#: entry.  Regenerate it (with the code of the day) only when a schema
+#: version bump makes its entries stale.
 PARENT_STORE = Path(__file__).parent / "data" / "store_parent"
 
 
@@ -126,8 +125,8 @@ class TestIndexTyping:
     def test_namespaces_are_disjoint(self, tmp_path) -> None:
         store = Store(tmp_path)
         store.set("results", "k" * 64, b"a result")
-        assert store.get("ckpt", "k" * 64) is None
-        assert list(store.entries("ckpt")) == []
+        assert store.get("traces", "k" * 64) is None
+        assert list(store.entries("traces")) == []
 
     def test_entry_records_namespace_schema(self, tmp_path) -> None:
         store = Store(tmp_path)
@@ -272,12 +271,12 @@ class TestForeignFiles:
 
     FOREIGN = ("settings.json", "ckpt/notes.json.gz", "objects/README",
                "objects/ab/not-a-digest", "index/results/notes.txt",
-               "index/other/x.json", f"index/traces/{'t' * 64}.json")
+               "index/other/x.json")
 
     def _tree(self, root) -> Store:
         store = Store(root)
         store.set("results", "r" * 64, b'{"cycles": 1}')
-        store.set("ckpt", "t" * 64, b"buffers")
+        store.set("traces", "t" * 64, b"buffers")
         store.set("ckpt", "c" * 64, b'{"version": 1}')
         for rel in self.FOREIGN:
             (root / rel).parent.mkdir(parents=True, exist_ok=True)
@@ -293,11 +292,11 @@ class TestForeignFiles:
         stats = store.stats()
         object_bytes = sum(
             store.object_path(entry["digest"]).stat().st_size
-            for ns in ("results", "ckpt")
+            for ns in ("results", "traces", "ckpt")
             for _, entry in store.entries(ns))
         assert stats["total"] == {"entries": 3, "bytes": object_bytes}
-        assert stats["results"]["entries"] == 1
-        assert stats["checkpoints"]["entries"] == 2
+        for section in ("results", "traces", "checkpoints"):
+            assert stats[section]["entries"] == 1
         assert stats["unreferenced"] == {"entries": 0, "bytes": 0}
 
     def test_gc_evicts_only_entries(self, tmp_path) -> None:
@@ -415,15 +414,14 @@ class TestGCRefcounting:
 
     def test_clear_respects_cross_namespace_refs(self, tmp_path) -> None:
         store = Store(tmp_path)
-        payload = b"same stored bytes in two namespaces"
-        digest = store.set("ckpt", "c" * 64, payload)["digest"]
-        # a raw results payload equal to the gzip object ckpt stored
-        stored = store.object_path(digest).read_bytes()
-        assert store.set("results", "k" * 64, stored)["digest"] == digest
+        payload = b"same bytes in two raw namespaces"
+        store.set("results", "k" * 64, payload)
+        store.set("traces", "t" * 64, payload)
+        digest = store.entry("results", "k" * 64)["digest"]
         assert store.clear("results") == 1
-        assert store.object_path(digest).is_file()  # ckpt still needs it
-        assert store.get("ckpt", "c" * 64) == payload
-        assert store.clear("ckpt") == 1
+        assert store.object_path(digest).is_file()  # traces still needs it
+        assert store.get("traces", "t" * 64) == payload
+        assert store.clear("traces") == 1
         assert not store.object_path(digest).exists()
 
     def test_gc_evicts_oldest_across_namespaces(self, tmp_path) -> None:
@@ -481,19 +479,17 @@ class TestGarbage:
 
     def test_dangling_entry_is_garbage(self, tmp_path) -> None:
         store = Store(tmp_path)
-        store.set("results", "t" * 64, b"buffers")
-        store.object_path(store.entry("results", "t" * 64)["digest"]).unlink()
-        assert store.stats()["results"] == {"entries": 1, "bytes": 0}
+        store.set("traces", "t" * 64, b"buffers")
+        store.object_path(store.entry("traces", "t" * 64)["digest"]).unlink()
+        assert store.stats()["traces"] == {"entries": 1, "bytes": 0}
         assert store.gc(10 ** 9)["removed"] == 1
-        assert not store.entry_path("results", "t" * 64).exists()
+        assert not store.entry_path("traces", "t" * 64).exists()
 
 
 class TestParentLayout:
     """A store written by the previous store implementation reads back
-    as all hits, and re-writing its payloads reproduces its results and
-    ckpt files byte for byte: entry files, object names and object
-    bytes.  Its old ``traces`` entry is a foreign file: never read,
-    counted or deleted, while ``gc`` reclaims the object it names."""
+    as all hits, and re-writing its payloads reproduces it byte for
+    byte: entry files, object names and object bytes."""
 
     def _files(self, root: Path) -> dict:
         return {p.relative_to(root).as_posix(): p.read_bytes()
@@ -502,20 +498,11 @@ class TestParentLayout:
     def _keys(self, ns: str) -> list:
         return sorted(p.stem for p in (PARENT_STORE / "index" / ns).iterdir())
 
-    def _trace_files(self) -> tuple:
-        """The old trace entry's path and its object's path, relative
-        to the store root."""
-        (tkey,) = self._keys("traces")
-        entry_rel = f"index/traces/{tkey}.json"
-        digest = json.loads((PARENT_STORE / entry_rel).read_text())["digest"]
-        return entry_rel, f"objects/{digest[:2]}/{digest[2:]}"
-
     def test_every_entry_reads_back_a_hit(self, tmp_path) -> None:
         root = tmp_path / "store"
         shutil.copytree(PARENT_STORE, root)
         store = Store(root)
-        assert "traces" not in NAMESPACES
-        for ns in ("results", "ckpt"):
+        for ns in ("results", "traces", "ckpt"):
             (key,) = self._keys(ns)
             entry = store.entry(ns, key)
             assert entry is not None
@@ -529,6 +516,10 @@ class TestParentLayout:
         assert record is not None and record.cycles > 0
         assert results.hits == 1
         assert store.entry("results", rkey)["wall"] == 0.3125
+        (tkey,) = self._keys("traces")
+        traces = TraceCache(root)
+        buffers = traces.get_or_build(tkey, lambda: pytest.fail("rebuilt"))
+        assert traces.disk_hits == 1 and len(buffers) == 4
         (ckey,) = self._keys("ckpt")
         ckpt = CheckpointStore(root)
         assert ckpt.has(ckey)
@@ -542,13 +533,13 @@ class TestParentLayout:
         entry = parent.entry("results", rkey)
         Store(fresh).set("results", rkey, parent.get("results", rkey),
                          meta={"wall": entry["wall"], "cost": entry["cost"]})
+        (tkey,) = self._keys("traces")
+        buffers = load_buffers(parent.get("traces", tkey))
+        TraceCache(fresh).get_or_build(tkey, lambda: buffers)
         (ckey,) = self._keys("ckpt")
         CheckpointStore(fresh).put(ckey, CheckpointStore(PARENT_STORE)
                                    .get(ckey))
-        expected = self._files(PARENT_STORE)
-        for rel in self._trace_files():
-            del expected[rel]
-        assert self._files(fresh) == expected
+        assert self._files(fresh) == self._files(PARENT_STORE)
         # ResultCache.put encodes the payload exactly as the fixture's
         # but no longer stamps the fixture's wall/cost scheduling meta.
         ResultCache(tmp_path / "put").put(
@@ -560,25 +551,11 @@ class TestParentLayout:
     def test_stats_count_the_fixture(self) -> None:
         stats = Store(PARENT_STORE).stats()
         sizes = {ns: Store(PARENT_STORE).entry(ns, self._keys(ns)[0])["size"]
-                 for ns in ("results", "ckpt")}
-        _, trace_object = self._trace_files()
-        trace_bytes = (PARENT_STORE / trace_object).stat().st_size
-        assert "traces" not in stats
+                 for ns in ("results", "traces", "ckpt")}
         assert stats["results"] == {"entries": 1, "bytes": sizes["results"]}
+        assert stats["traces"] == {"entries": 1, "bytes": sizes["traces"]}
         assert stats["checkpoints"] == {"entries": 1,
                                         "bytes": sizes["ckpt"]}
-        assert stats["unreferenced"] == {"entries": 1, "bytes": trace_bytes}
+        assert stats["unreferenced"] == {"entries": 0, "bytes": 0}
         assert stats["total"] == {"entries": 3,
-                                  "bytes": sum(sizes.values()) + trace_bytes}
-
-    def test_gc_reclaims_only_the_old_trace_object(self, tmp_path) -> None:
-        root = tmp_path / "store"
-        shutil.copytree(PARENT_STORE, root)
-        trace_entry, trace_object = self._trace_files()
-        before = self._files(root)
-        report = Store(root).gc(10 ** 9)
-        assert report["removed"] == 1
-        assert report["removed_bytes"] == len(before[trace_object])
-        del before[trace_object]
-        assert self._files(root) == before  # the trace entry stays put
-        assert trace_entry in before
+                                  "bytes": sum(sizes.values())}

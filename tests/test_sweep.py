@@ -182,39 +182,32 @@ class TestTraceSharing:
         fields (sampled regions), v7 the detach window."""
         assert RESULT_SCHEMA_VERSION == 7
 
-    def test_sweep_builds_each_trace_once(self, monkeypatch) -> None:
+    def test_sweep_builds_each_trace_once(self, tmp_path,
+                                          monkeypatch) -> None:
         """Two configs at one point compile one trace (acceptance)."""
         from repro.cpu.tracebuf import TraceCache
 
-        memo = TraceCache()
-        monkeypatch.setattr(registry, "TRACE_CACHE", memo)
+        store = TraceCache(tmp_path)
+        monkeypatch.setattr(registry, "TRACE_CACHE", store)
         points = [SweepPoint.make("pathfinder", config, seed=777, **FAST)
                   for config in ("noprefetch", "ordpush", "baseline")]
         run_sweep(points, jobs=1)
-        assert memo.builds == 1
-        assert memo.memo_hits == len(points) - 1
+        assert store.builds == 1
+        assert store.memo_hits == len(points) - 1
 
-    def test_traces_never_reach_the_store(self, tmp_path, monkeypatch,
-                                          many_cpus) -> None:
-        """Serial and parallel sweeps and a cold run, each starting
-        from an empty trace memo, leave no file under the store root;
-        the parallel sweep still equals the serial one."""
-        from repro.cpu.tracebuf import TraceCache
-
+    def test_parallel_workers_share_trace_via_disk(self, tmp_path,
+                                                   monkeypatch,
+                                                   many_cpus) -> None:
+        """Worker processes reuse the on-disk buffers where available;
+        results stay bit-identical either way."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         points = [SweepPoint.make("pathfinder", config, seed=778, **FAST)
                   for config in ("noprefetch", "ordpush")]
-        runs = {}
-        for name, run in (
-                ("serial", lambda: run_sweep(points, jobs=1)),
-                ("parallel", lambda: run_sweep(points, jobs=2)),
-                ("cold", lambda: [run_workload("pathfinder", "ordpush",
-                                               seed=778, **FAST)])):
-            root = tmp_path / name
-            monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
-            monkeypatch.setattr(registry, "TRACE_CACHE", TraceCache())
-            runs[name] = [r.to_dict() for r in run()]
-            assert not root.exists(), name
-        assert runs["parallel"] == runs["serial"]
+        serial = run_sweep(points, jobs=1)
+        assert list(tmp_path.glob("index/traces/*.json"))
+        parallel = run_sweep(points, jobs=2)
+        assert [r.to_dict() for r in parallel] == [
+            r.to_dict() for r in serial]
 
 
 class TestRunComparisonRewired:

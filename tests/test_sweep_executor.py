@@ -239,10 +239,9 @@ class TestWorkerLifetime:
 
     def test_each_cache_root_gets_its_own_writes(
             self, tmp_path, monkeypatch, many_cpus) -> None:
-        """Workers write warm images where the parent's
+        """Workers write warm images and traces where the parent's
         ``REPRO_CACHE_DIR`` points at the time of the sweep, so two
-        sweeps under two roots fill both roots alike (and neither gets
-        a trace entry: compiled traces never leave the process)."""
+        sweeps under two roots fill both roots alike."""
         points = _warm_points(seed=74)
         counts = []
         for name in ("a", "b"):
@@ -254,7 +253,7 @@ class TestWorkerLifetime:
         assert counts[0] == counts[1]
         assert counts[0]["results"] == len(points)
         assert counts[0]["ckpt"] == 2
-        assert counts[0]["traces"] == 0
+        assert counts[0]["traces"] > 0
 
 
 class TestCrashResume:

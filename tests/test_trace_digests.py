@@ -1,19 +1,18 @@
 """Pinned trace bytes: every catalogued workload and benchmark trace.
 
 ``tests/data/trace_digests.json`` holds the SHA-256 of
-``dump_buffers(...)`` (:mod:`tests.harness`) for each of the 15
-catalogued workloads at 16 cores (default sizes, seeds 1 and 7) and
-for every trace point of the ``simbench`` workloads at their default
-seed.  Warm images are keyed by the point (``trace_key``), not by the
-trace's bytes, so a compile that made different bytes would let a
-stored image and a freshly built trace disagree and shift simulated
-results: trace generation and compilation may get faster, never
-different.
+``dump_buffers(...)`` for each of the 15 catalogued workloads at 16
+cores (default sizes, seeds 1 and 7) and for every trace point of the
+``simbench`` workloads at their default seed.  Stored ``traces``
+entries are keyed by the point (``trace_key``), not by their bytes, so
+a compile that made different bytes would let stored and freshly
+built buffers disagree and shift simulated results: trace generation
+and compilation may get faster, never different.
 
 Re-record (only when a trace change is intended, together with a
-``TRACE_SCHEMA_VERSION`` bump), from the repository root::
+``TRACE_SCHEMA_VERSION`` bump)::
 
-    PYTHONPATH=src python -m tests.test_trace_digests
+    PYTHONPATH=src python tests/test_trace_digests.py
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from typing import Dict, List
 
 import pytest
 
-from repro.cpu.tracebuf import TraceBuffer
+from repro.cpu.tracebuf import TraceBuffer, dump_buffers
 from repro.workloads.registry import build_traces, workload_names
-from tests.harness import dump_buffers
 
 DATA = pathlib.Path(__file__).parent / "data" / "trace_digests.json"
 

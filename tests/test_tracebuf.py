@@ -1,4 +1,4 @@
-"""Precompiled trace buffers: fidelity, determinism, and the memo."""
+"""Precompiled trace buffers: fidelity, determinism, and the cache."""
 
 from __future__ import annotations
 
@@ -12,12 +12,12 @@ import tracemalloc
 import repro
 
 from repro.cpu.tracebuf import (COMPILE_CHUNK, TraceBuffer, TraceCache,
-                                trace_key)
+                                dump_buffers, load_buffers, trace_key)
 from repro.cpu.traces import BARRIER, MemAccess
 from repro.sim.runner import run_system, run_workload
 from repro.sim.config import make_params
+from repro.store import Store
 from repro.workloads.registry import build_trace_buffers, build_traces
-from tests.harness import dump_buffers
 
 RECORDS = [
     MemAccess(addr=0x1000, is_write=False, work=3, pc=0x10),
@@ -37,6 +37,20 @@ class TestTraceBuffer:
         buf = TraceBuffer.compile(RECORDS)
         assert buf.addr[2] < 0
         assert all(a >= 0 for i, a in enumerate(buf.addr) if i != 2)
+
+    def test_serialization_roundtrip(self) -> None:
+        buffers = [TraceBuffer.compile(RECORDS), TraceBuffer.compile([])]
+        loaded = load_buffers(dump_buffers(buffers))
+        assert loaded == buffers
+
+    def test_corrupt_blob_raises(self) -> None:
+        blob = dump_buffers([TraceBuffer.compile(RECORDS)])
+        for bad in (b"junk", blob[:-8]):
+            try:
+                load_buffers(bad)
+            except ValueError:
+                continue
+            raise AssertionError("corruption not detected")
 
 
 def _lazy_trace(n: int):
@@ -97,17 +111,14 @@ class TestDeterminism:
         script = (
             "import hashlib\n"
             "from repro.workloads.registry import build_traces\n"
-            "from repro.cpu.tracebuf import TraceBuffer\n"
-            "from tests.harness import dump_buffers\n"
+            "from repro.cpu.tracebuf import TraceBuffer, dump_buffers\n"
             f"traces = build_traces({name!r}, {cores}, seed={seed}, "
             f"**{sizes!r})\n"
             "blob = dump_buffers([TraceBuffer.compile(t) for t in traces])\n"
             "print(hashlib.sha256(blob).hexdigest())\n")
         env = dict(os.environ)
         src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        tests_root = str(pathlib.Path(__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            (src, tests_root, env.get("PYTHONPATH", "")))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         child = subprocess.run(
             [sys.executable, "-c", script], capture_output=True,
             text=True, check=True, env=env)
@@ -122,14 +133,36 @@ class TestDeterminism:
 
 
 class TestTraceCache:
-    def test_memo_shares_one_build_across_configs(self) -> None:
-        cache = TraceCache()
+    def test_memo_shares_one_build_across_configs(self, tmp_path) -> None:
+        cache = TraceCache(tmp_path)
         first = build_trace_buffers("mv", 4, seed=2, cache=cache,
                                     rows_per_core=4)
         second = build_trace_buffers("mv", 4, seed=2, cache=cache,
                                      rows_per_core=4)
         assert second is first  # same compiled object, not a copy
         assert (cache.builds, cache.memo_hits) == (1, 1)
+
+    def test_disk_layer_shared_across_cache_instances(self,
+                                                      tmp_path) -> None:
+        """A second process (modelled by a fresh cache) reloads, not
+        rebuilds."""
+        writer = TraceCache(tmp_path)
+        built = build_trace_buffers("mv", 4, seed=2, cache=writer,
+                                    rows_per_core=4)
+        reader = TraceCache(tmp_path)
+        loaded = build_trace_buffers("mv", 4, seed=2, cache=reader,
+                                     rows_per_core=4)
+        assert (reader.builds, reader.disk_hits) == (0, 1)
+        assert loaded == built
+
+    def test_corrupt_file_rebuilds(self, tmp_path) -> None:
+        cache = TraceCache(tmp_path)
+        build_trace_buffers("mv", 4, seed=2, cache=cache, rows_per_core=4)
+        key = trace_key("mv", 4, 2, {"rows_per_core": 4})
+        Store(tmp_path).entry_path("traces", key).write_bytes(b"garbage")
+        fresh = TraceCache(tmp_path)
+        build_trace_buffers("mv", 4, seed=2, cache=fresh, rows_per_core=4)
+        assert fresh.builds == 1 and fresh.disk_hits == 0
 
 
 class TestBufferedCoreEquivalence:
@@ -147,10 +180,10 @@ class TestBufferedCoreEquivalence:
             workload="pathfinder", config="ordpush")
         assert buffered_run.to_dict() == generator_run.to_dict()
 
-    def test_run_workload_uses_buffers(self, monkeypatch) -> None:
+    def test_run_workload_uses_buffers(self, tmp_path, monkeypatch) -> None:
         from repro.workloads import registry
 
-        monkeypatch.setattr(registry, "TRACE_CACHE", TraceCache())
+        monkeypatch.setattr(registry, "TRACE_CACHE", TraceCache(tmp_path))
         result = run_workload("pathfinder", "ordpush", num_cores=4,
                               iters=4, seed=7)
         assert result.cycles > 0
