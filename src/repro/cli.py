@@ -218,16 +218,29 @@ def _seeds_arg(value: str) -> int:
 
 def _check_sampling_flags(parser: argparse.ArgumentParser,
                           args: argparse.Namespace) -> None:
-    """Reject sampling flags given without ``--samples``: they would
-    be silently ignored by a full run."""
-    if getattr(args, "samples", None) != 0:
-        return
-    for flag, value, default in (
-            ("--sample-cycles", args.sample_cycles, None),
-            ("--detach-cycles", args.detach_cycles, 0),
-            ("--ci-target", args.ci_target, 0.0)):
-        if value != default:
-            parser.error(f"{flag} needs --samples K (K >= 1)")
+    """Reject warmup and sampling flags that cannot run as given.
+
+    A negative ``--warmup-barriers`` would silently run cold; sampling
+    flags given without ``--samples`` would be silently ignored by a
+    full run; and with ``--samples`` the flags must make a valid
+    :class:`SamplingPolicy`, whose own checks are the only validator.
+    """
+    if getattr(args, "warmup_barriers", 0) < 0:
+        parser.error(f"--warmup-barriers must be >= 0, "
+                     f"got {args.warmup_barriers}")
+    samples = getattr(args, "samples", None)
+    if samples:
+        try:
+            _sampling_policy(args)
+        except ValueError as exc:
+            parser.error(str(exc))
+    elif samples == 0:
+        for flag, value, default in (
+                ("--sample-cycles", args.sample_cycles, None),
+                ("--detach-cycles", args.detach_cycles, 0),
+                ("--ci-target", args.ci_target, 0.0)):
+            if value != default:
+                parser.error(f"{flag} needs --samples K (K >= 1)")
 
 
 def _progress_printer():

@@ -12,7 +12,7 @@ harnesses and by ``results.py``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 Number = Union[int, float]
 
@@ -63,32 +63,6 @@ class Histogram:
             self.overflow += 1
         else:
             self.buckets[index] += 1
-
-    def record_many(self, values: Iterable[Number]) -> None:
-        """Add a batch of samples in one call.
-
-        Hot loops accumulate samples into a plain list and flush it here
-        periodically, so the per-sample cost is one ``list.append``.
-        """
-        buckets = self.buckets
-        num_buckets = len(buckets)
-        width = self.bucket_width
-        count = 0
-        total = 0
-        overflow = 0
-        for value in values:
-            count += 1
-            total += value
-            index = int(value) // width
-            if index < 0:
-                index = 0
-            if index >= num_buckets:
-                overflow += 1
-            else:
-                buckets[index] += 1
-        self.count += count
-        self.total += total
-        self.overflow += overflow
 
     @property
     def mean(self) -> float:

@@ -39,10 +39,9 @@ import hashlib
 import json
 import struct
 import sys
-from collections import OrderedDict
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Union
 
 from repro.cpu.traces import BARRIER, MemAccess, TraceRecord
 from repro.store import TRACE_SCHEMA_VERSION, Store
@@ -196,24 +195,17 @@ class TraceCache:
     ``memo_hits`` / ``disk_hits`` count reuse, which is how the sweep
     tests prove each point's trace is compiled exactly once.
 
-    ``memo_limit`` bounds the in-process memo (LRU over buffer sets;
-    None = unbounded).  Long-lived sweep workers set a small limit so
-    touring a huge grid never accumulates every trace it ever compiled.
+    The memo is unbounded: a sweep's pool workers live for that one
+    sweep, so a worker's memo holds no more traces than the in-process
+    (``jobs=1``) path holds for the same grid.
     """
 
-    def __init__(self, root: Union[str, Path, None] = None,
-                 memo_limit: Optional[int] = None) -> None:
+    def __init__(self, root: Union[str, Path, None] = None) -> None:
         self._root = root
-        self.memo: "OrderedDict[str, List[TraceBuffer]]" = OrderedDict()
-        self.memo_limit = memo_limit
+        self.memo: Dict[str, List[TraceBuffer]] = {}
         self.builds = 0
         self.memo_hits = 0
         self.disk_hits = 0
-
-    def _trim(self) -> None:
-        if self.memo_limit is not None:
-            while len(self.memo) > self.memo_limit:
-                self.memo.popitem(last=False)
 
     def get_or_build(self, key: str,
                      build: Callable[[], List[TraceBuffer]]
@@ -221,7 +213,6 @@ class TraceCache:
         """The cached buffers for ``key``, compiling on first use."""
         buffers = self.memo.get(key)
         if buffers is not None:
-            self.memo.move_to_end(key)
             self.memo_hits += 1
             return buffers
         # resolved per call, so a repointed REPRO_CACHE_DIR takes effect
@@ -235,12 +226,10 @@ class TraceCache:
         if buffers is not None:
             self.disk_hits += 1
             self.memo[key] = buffers
-            self._trim()
             return buffers
         buffers = build()
         self.builds += 1
         self.memo[key] = buffers
-        self._trim()
         store.set("traces", key, dump_buffers(buffers))
         return buffers
 

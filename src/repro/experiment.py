@@ -101,8 +101,11 @@ class ExperimentSpec:
             seeds = [int(s) for s in _as_list(seeds_field)]
         sizes = dict(data.get("sizes", {}))
         sampling_data = data.get("sampling")
-        sampling = (SamplingPolicy.from_dict(sampling_data)
-                    if sampling_data is not None else None)
+        try:
+            sampling = (SamplingPolicy.from_dict(sampling_data)
+                        if sampling_data is not None else None)
+        except ValueError as exc:
+            raise ConfigError(f"sampling: {exc}") from None
         if sampling is not None and data.get("warmup_barriers"):
             raise ConfigError(
                 "'sampling' and 'warmup_barriers' are mutually exclusive: "

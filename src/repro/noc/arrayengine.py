@@ -134,11 +134,9 @@ class _Eject:
         net.inflight -= count
         net._c_packets_ejected.value += count
         now = net.scheduler.now
-        batch = net._latency_batch
+        record = net._latency_hist.record
         for packet in packets:
-            batch.append(now - packet.injected_at)
-        if len(batch) >= 1024:
-            net.flush_stat_batches()
+            record(now - packet.injected_at)
         free = net._free_packet
         for pix in self.pixs:
             free(pix)
@@ -385,7 +383,6 @@ class ArrayNetwork:
         self._c_requests_filtered = self.stats.counter("requests_filtered")
         self._latency_hist = self.stats.histogram(
             "packet_latency", bucket_width=8)
-        self._latency_batch: List[int] = []
         self._link_load = np.zeros(
             routers << self._ll_shift, dtype=np.int64)
         self._traffic_flits = np.zeros(
@@ -942,11 +939,6 @@ class ArrayNetwork:
     # reporting
     # ------------------------------------------------------------------
 
-    def flush_stat_batches(self) -> None:
-        if self._latency_batch:
-            self._latency_hist.record_many(self._latency_batch)
-            self._latency_batch.clear()
-
     @property
     def link_load(self) -> Dict[Tuple[int, int], int]:
         shift = self._ll_shift
@@ -959,7 +951,6 @@ class ArrayNetwork:
         return int(self._link_load.sum())
 
     def traffic_breakdown(self) -> Dict[TrafficClass, int]:
-        self.flush_stat_batches()
         flits = self._traffic_flits
         return {cls: int(flits[cls.value]) for cls in TrafficClass}
 

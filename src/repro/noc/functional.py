@@ -30,28 +30,13 @@ subtracts whatever the warm phase recorded anyway.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.messages import CoherenceMsg, TrafficClass
 from repro.common.scheduler import NEVER, Scheduler
 from repro.common.stats import StatGroup
-from repro.noc.network import flat_link_load_matrix
-from repro.noc.topology import Mesh
-
-
-def canonical_shape(num_tiles: int) -> Tuple[int, int]:
-    """The squarest ``rows x cols`` factorization of ``num_tiles``.
-
-    Mirrors ``repro.sim.config.mesh_shape``'s default policy without
-    importing the sim layer (the NoC package sits below it).
-    """
-    if num_tiles < 1:
-        raise ValueError("num_tiles must be >= 1")
-    rows = int(num_tiles ** 0.5)
-    while rows > 1 and num_tiles % rows:
-        rows -= 1
-    return rows, num_tiles // rows
+from repro.noc.topology import Mesh, squarest_shape
 
 
 class _FunctionalInterface:
@@ -89,7 +74,7 @@ class FunctionalNetwork:
     def __init__(self, params, scheduler: Scheduler) -> None:
         self.params = params
         self.scheduler = scheduler
-        rows, cols = canonical_shape(params.num_tiles)
+        rows, cols = squarest_shape(params.num_tiles)
         self.topology = Mesh(rows, cols)
         self.interfaces = [_FunctionalInterface(tile)
                            for tile in range(params.num_tiles)]
@@ -97,13 +82,6 @@ class FunctionalNetwork:
         self.stats = StatGroup("network")
         self.request_filtered_hook = None
         self.inflight = 0
-        # Link-load accounting in the same flat (router << shift) | port
-        # layout as the detailed engines — functional warmup records no
-        # flits, but reporting one shape across all backends keeps the
-        # chart/report consumers backend-agnostic.
-        self._ll_shift = max((self.topology.radix - 1).bit_length(), 1)
-        self._link_load: List[int] = [0] * (
-            self.topology.num_routers << self._ll_shift)
 
     # -- endpoint API ------------------------------------------------------
 
@@ -135,18 +113,14 @@ class FunctionalNetwork:
 
     # -- stats surface -----------------------------------------------------
 
-    def flush_stat_batches(self) -> None:
-        pass
-
     def total_flits(self) -> int:
-        return sum(self._link_load)
+        return 0
 
     def traffic_breakdown(self) -> Dict[TrafficClass, int]:
         return {cls: 0 for cls in TrafficClass}
 
     def link_load_matrix(self) -> Dict[Tuple[int, str], int]:
-        return flat_link_load_matrix(
-            self._link_load, self._ll_shift, self.topology.port_name)
+        return {}
 
     # -- checkpoint state (see repro.sim.checkpoint) ------------------------
 

@@ -44,8 +44,8 @@ def flat_link_load_matrix(link_load, shift: int,
                           port_name) -> Dict[Tuple[int, str], int]:
     """Decode a flat per-link load array into the report-facing dict.
 
-    Every NoC backend (event, array, functional) stores link loads in the
-    same flat layout — index ``(router << shift) | port`` — and reports
+    Both detailed NoC backends (event and array) store link loads in the
+    same flat layout — index ``(router << shift) | port`` — and report
     them keyed ``(router, port name)``.  Keeping the decode here means
     ``report/charts.py`` consumes one shape regardless of the engine that
     produced the run.  Zero entries are elided; values are coerced to
@@ -160,8 +160,6 @@ class Network:
         self._c_requests_filtered = self.stats.counter("requests_filtered")
         self._latency_hist = self.stats.histogram(
             "packet_latency", bucket_width=8)
-        #: pending packet-latency samples, flushed in batches
-        self._latency_batch: List[int] = []
 
     def _wire_credit_callbacks(self) -> None:
         """Point every input VC's credit return at its upstream feeder.
@@ -261,17 +259,8 @@ class Network:
     def _eject(self, tile: int, packet: Packet) -> None:
         self.inflight -= 1
         self._c_packets_ejected.value += 1
-        batch = self._latency_batch
-        batch.append(self.scheduler.now - packet.injected_at)
-        if len(batch) >= 1024:
-            self.flush_stat_batches()
+        self._latency_hist.record(self.scheduler.now - packet.injected_at)
         self.interfaces[tile].eject(packet)
-
-    def flush_stat_batches(self) -> None:
-        """Fold batched samples into their histograms (idempotent)."""
-        if self._latency_batch:
-            self._latency_hist.record_many(self._latency_batch)
-            self._latency_batch.clear()
 
     # ------------------------------------------------------------------
     # simulation loop
@@ -385,7 +374,6 @@ class Network:
 
     def traffic_breakdown(self) -> Dict[TrafficClass, int]:
         """Flit-hops by traffic class (paper Figs. 3 and 13)."""
-        self.flush_stat_batches()
         flits = self._traffic_flits
         return {cls: flits[cls.value] for cls in TrafficClass}
 
@@ -406,7 +394,6 @@ class Network:
         entry means the fabric is not quiesced and raises
         SimulationError.
         """
-        self.flush_stat_batches()
         for router in self.routers:
             for port in router.output_ports:
                 if port is not None and len(port.filter):

@@ -124,10 +124,9 @@ def capture_state(system, workload: str, config: str) -> Dict:
 
     The system must be sitting at a :meth:`System.run_to_quiesce` hold.
     :meth:`System.state` walks every component's ``state()``; capture
-    never mutates simulation state (beyond folding pending stat
-    batches, which is a no-op for results), so the original system can
-    keep running afterwards — that property is what the bit-identity
-    tests lean on.
+    never mutates simulation state, so the original system can keep
+    running afterwards — that property is what the bit-identity tests
+    lean on.
     """
     state = system.state()
     state["version"] = CKPT_SCHEMA_VERSION
@@ -168,7 +167,6 @@ def rebase_measurement(state: Dict, system, workload: str,
     and the system needs no quiesce — mid-flight traffic stays in
     flight.
     """
-    system.network.flush_stat_batches()
     cycle = system.scheduler.now
     rebased = dict(state)
     rebased["cycle"] = cycle

@@ -24,7 +24,6 @@ The TPC Threshold / Time Window defaults follow Table I: PushAck uses
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Tuple
 
 from repro.common.errors import ConfigError
@@ -37,6 +36,7 @@ from repro.common.params import (
     PushParams,
     SystemParams,
 )
+from repro.noc.topology import squarest_shape
 
 CONFIG_NAMES = (
     "baseline", "noprefetch", "coalesce", "msp", "pushack", "ordpush",
@@ -90,10 +90,7 @@ def mesh_shape(num_cores: int,
         return rows, cols
     if num_cores < 1:
         raise ConfigError("core count must be >= 1")
-    for rows in range(math.isqrt(num_cores), 0, -1):
-        if num_cores % rows == 0:
-            return rows, num_cores // rows
-    raise ConfigError(f"no factorization for {num_cores}")  # unreachable
+    return squarest_shape(num_cores)
 
 
 def _table1_knobs(mode: str, num_cores: int) -> Tuple[int, int]:

@@ -34,7 +34,6 @@ def dump_stats(system, aggregate: bool = True) -> str:
     With ``aggregate`` (the default) per-tile controller groups are also
     folded into ``agg.l2`` / ``agg.llc`` totals at the top of the dump.
     """
-    system.network.flush_stat_batches()
     out = io.StringIO()
     out.write("---------- Begin Simulation Statistics ----------\n")
     out.write(f"sim.cycles{'':<34s} {system.scheduler.now}\n")

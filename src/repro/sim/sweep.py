@@ -86,9 +86,6 @@ _CHUNK_CAP = 16
 #: Parsed warm snapshots kept per worker (each can be tens of MB).
 _CKPT_MEMO_LIMIT = 4
 
-#: Compiled trace-buffer sets kept per worker.
-_TRACE_MEMO_LIMIT = 16
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -266,13 +263,6 @@ def _resolve_cache(cache) -> Optional[ResultCache]:
 
 #: the process's memoizing checkpoint store (lazy; see _worker_ckpt_store)
 _WORKER_CKPT = None
-
-
-def _init_worker() -> None:
-    """Pool initializer: bound the worker's trace memo, so a worker
-    touring a big grid does not keep every trace it ever compiled."""
-    from repro.workloads import registry
-    registry.TRACE_CACHE.memo_limit = _TRACE_MEMO_LIMIT
 
 
 def _worker_ckpt_store():
@@ -622,8 +612,7 @@ def _run_on_pool(builds: _Builds, chunks: _Planned,
     worker-side warm-build seconds (summed across workers, so it can
     exceed the phase's wall clock).
     """
-    pool = ProcessPoolExecutor(max_workers=workers,
-                               initializer=_init_worker)
+    pool = ProcessPoolExecutor(max_workers=workers)
     gated: Dict[str, List[_Items]] = {}
     in_flight = {}
 

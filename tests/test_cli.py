@@ -142,6 +142,29 @@ class TestSamplingFlags:
         assert exit_info.value.code == 2
         assert f"{flag} needs --samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "pathfinder", "ordpush", "--samples", "-2"],
+         "samples must be >= 1: -2"),
+        (["run", "pathfinder", "ordpush", "--samples", "2",
+          "--sample-cycles", "0"], "sample_cycles must be >= 1: 0"),
+        (["run", "pathfinder", "ordpush", "--samples", "2",
+          "--ci-target", "-1"], "ci_target must be >= 0"),
+        (["sweep", "pathfinder", "--samples", "2",
+          "--detach-cycles", "-5"], "detach_cycles must be >= 0: -5"),
+        (["run", "pathfinder", "ordpush", "--warmup-barriers", "-1"],
+         "--warmup-barriers must be >= 0"),
+        (["compare", "pathfinder", "--warmup-barriers", "-1"],
+         "--warmup-barriers must be >= 0"),
+    ])
+    def test_invalid_values_are_parser_errors(self, capsys, argv,
+                                              message) -> None:
+        """Values the sampling policy rejects, and a negative warmup
+        (which used to run cold), exit 2 before any simulation runs."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--cores", "4", "--scaled"])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_sample_cycles_defaults_to_2000(self) -> None:
         args = build_parser().parse_args(
             ["run", "pathfinder", "ordpush", "--samples", "3"])

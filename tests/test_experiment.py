@@ -65,6 +65,16 @@ class TestSpecValidation:
         spec = _spec(sampling={"samples": 3, "sample_cycles": 999})
         assert spec.sampling == SamplingPolicy(samples=3, sample_cycles=999)
 
+    @pytest.mark.parametrize("sampling,message", [
+        ({"samples": -1}, "samples must be >= 1"),
+        ({"samples": 2, "sample_cyclez": 500},
+         "unknown sampling-policy fields"),
+    ])
+    def test_invalid_sampling_is_a_config_error(self, sampling,
+                                                message) -> None:
+        with pytest.raises(ConfigError, match=message):
+            _spec(sampling=sampling)
+
     def test_sampling_excludes_manual_warmup(self) -> None:
         with pytest.raises(ConfigError, match="mutually exclusive"):
             _spec(sampling={"samples": 2}, warmup_barriers=2)
@@ -206,3 +216,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert "error:" in captured.err
+
+    def test_experiment_subcommand_bad_sampling(self, tmp_path,
+                                                monkeypatch,
+                                                capsys) -> None:
+        from repro.cli import main
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**BASE, "sampling": {"samples": -1}}))
+        code = main(["experiment", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: sampling: samples must be >= 1" in captured.err

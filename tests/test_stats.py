@@ -80,3 +80,30 @@ class TestHistogram:
         hist = Histogram(4)
         hist.record(-3)
         assert hist.buckets[0] == 1
+
+
+class TestPacketLatencyHistogram:
+    """The network's ``packet_latency`` histogram is complete whenever
+    it is read: every ejected packet's sample is already in the tree,
+    with no reporting call needed first."""
+
+    @pytest.mark.parametrize("stop_at", [3000, None],
+                             ids=["cut", "complete"])
+    @pytest.mark.parametrize("engine", ["event", "array"])
+    def test_count_matches_ejections(self, engine, stop_at) -> None:
+        from repro.sim.config import bench_kwargs
+        from repro.sim.runner import resolve_point
+        from repro.sim.system import System
+        from repro.workloads.registry import build_trace_buffers
+
+        params, wl_kwargs = resolve_point(
+            "cachebw", "ordpush", 16, engine=engine,
+            **bench_kwargs(array_lines=256, iters=2))
+        system = System(params)
+        system.attach_workload(build_trace_buffers(
+            "cachebw", num_cores=16, seed=1, **wl_kwargs))
+        system.run(stop_at=stop_at)
+        stats = system.network.stats
+        ejected = stats.get("packets_ejected")
+        assert ejected > 1024
+        assert stats.histograms()["packet_latency"].count == ejected
