@@ -41,6 +41,7 @@ import pstats
 import sys
 from typing import Callable, List, Optional
 
+from repro.common.errors import ConfigError
 from repro.common.params import ENGINES, TOPOLOGIES
 from repro.sim.config import CONFIG_NAMES, bench_kwargs, mesh_shape
 from repro.sim.results import PUSH_CATEGORIES, SimResult
@@ -394,7 +395,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.common.errors import ConfigError
     from repro.experiment import run_experiment
 
     progress = _progress_printer() if args.progress else None
@@ -404,7 +404,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             outcome = run_experiment(args.spec, jobs=args.jobs,
                                      cache=not args.no_cache,
                                      progress=progress)
-        except (ConfigError, FileNotFoundError) as exc:
+        except FileNotFoundError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print(outcome.render())
@@ -625,7 +625,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_sampling_flags(parser, args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -85,7 +85,7 @@ class CacheParams:
 
 
 #: interconnect fabrics understood by ``repro.noc.topology.build_topology``
-#: (mirrored here so the params layer stays import-free of the NoC stack).
+#: (the only list of them: ``NoCParams`` rejects any other name).
 TOPOLOGIES = ("mesh", "torus", "ring", "cmesh")
 
 #: NoC execution backends (``repro.noc``): the object-granular event

@@ -56,6 +56,15 @@ def _as_list(value) -> List:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
+def _int(field: str, value) -> int:
+    """``int(value)``, or a :class:`ConfigError` naming the spec field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{field!r} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A validated experiment document, ready to expand."""
@@ -90,7 +99,8 @@ class ExperimentSpec:
                 "spec needs exactly one of 'workload' / 'workloads'")
         workloads = _as_list(data.get("workload", data.get("workloads")))
         configs = _as_list(data.get("configs", "baseline"))
-        cores = [int(n) for n in _as_list(data.get("num_cores", 16))]
+        cores = [_int("num_cores", n)
+                 for n in _as_list(data.get("num_cores", 16))]
         seeds_field = data.get("seeds", 1)
         if isinstance(seeds_field, int):
             # a replica count: derive deterministic well-spread seeds
@@ -98,8 +108,10 @@ class ExperimentSpec:
                 raise ConfigError(f"seeds count must be >= 1: {seeds_field}")
             seeds = [derive_seed(1, index) for index in range(seeds_field)]
         else:
-            seeds = [int(s) for s in _as_list(seeds_field)]
-        sizes = dict(data.get("sizes", {}))
+            seeds = [_int("seeds", s) for s in _as_list(seeds_field)]
+        sizes = data.get("sizes", {})
+        if not isinstance(sizes, dict):
+            raise ConfigError("'sizes' must be a mapping")
         sampling_data = data.get("sampling")
         try:
             sampling = (SamplingPolicy.from_dict(sampling_data)
@@ -124,9 +136,11 @@ class ExperimentSpec:
             configs=[str(c) for c in configs],
             num_cores=cores,
             seeds=seeds,
-            sizes=sizes,
-            max_cycles=int(data.get("max_cycles", 100_000_000)),
-            warmup_barriers=int(data.get("warmup_barriers", 0)),
+            sizes=dict(sizes),
+            max_cycles=_int("max_cycles",
+                            data.get("max_cycles", 100_000_000)),
+            warmup_barriers=_int("warmup_barriers",
+                                 data.get("warmup_barriers", 0)),
             warmup_mode=str(data.get("warmup_mode", "detailed")),
             sampling=sampling,
             report=report,

@@ -4,16 +4,16 @@ The model is packet-granular with flit-accurate timing: a packet occupies
 one virtual channel per hop (virtual cut-through), output ports serialize
 packets at one flit per cycle, and router pipeline / link latencies match
 Table I of the paper (2-stage routers, 1-cycle links).  The fabric is
-pluggable — mesh (the paper's default), torus, ring, and concentrated
-mesh all run the same router; see :mod:`repro.noc.topology`.
+pluggable — mesh (the paper's default), torus and concentrated mesh
+(one :class:`Grid` class) and ring all run the same router; see
+:mod:`repro.noc.topology`.
 """
 
 from repro.noc.filter import InNetworkFilter, filter_area_overhead
 from repro.noc.network import Network
 from repro.noc.packet import Packet
 from repro.noc.routing import Direction, multicast_output_ports, route_compute
-from repro.noc.topology import (ConcentratedMesh, Mesh, Ring, Topology,
-                                Torus, build_topology)
+from repro.noc.topology import Grid, Ring, Topology, build_topology
 
 
 def __getattr__(name: str):
@@ -27,15 +27,13 @@ def __getattr__(name: str):
 
 __all__ = [
     "ArrayNetwork",
-    "ConcentratedMesh",
     "Direction",
+    "Grid",
     "InNetworkFilter",
-    "Mesh",
     "Network",
     "Packet",
     "Ring",
     "Topology",
-    "Torus",
     "build_topology",
     "filter_area_overhead",
     "multicast_output_ports",

@@ -36,7 +36,7 @@ from repro.common.errors import SimulationError
 from repro.common.messages import CoherenceMsg, TrafficClass
 from repro.common.scheduler import NEVER, Scheduler
 from repro.common.stats import StatGroup
-from repro.noc.topology import Mesh, squarest_shape
+from repro.noc.topology import Grid, squarest_shape
 
 
 class _FunctionalInterface:
@@ -74,8 +74,7 @@ class FunctionalNetwork:
     def __init__(self, params, scheduler: Scheduler) -> None:
         self.params = params
         self.scheduler = scheduler
-        rows, cols = squarest_shape(params.num_tiles)
-        self.topology = Mesh(rows, cols)
+        self.topology = Grid("mesh", *squarest_shape(params.num_tiles))
         self.interfaces = [_FunctionalInterface(tile)
                            for tile in range(params.num_tiles)]
         self.routers: Tuple = ()

@@ -8,9 +8,10 @@ invalidation ordering holds on a common path (§III-F).
 ``RoutingTables`` precomputes the per-hop decision for every
 (current router, destination tile) pair of a topology — the routers
 index it directly, keeping route computation off the simulation's hot
-path.  The closed forms below cover the mesh; other fabrics supply
-their own closed form through ``Topology.route`` and are tabulated the
-same way.
+path.  Each fabric supplies its closed form through
+``Topology.route`` (:class:`~repro.noc.topology.Grid` for mesh, torus
+and cmesh, :class:`~repro.noc.topology.Ring` for the ring), and every
+fabric is tabulated the same way.
 """
 
 from __future__ import annotations
@@ -41,34 +42,6 @@ OPPOSITE = (Direction.LOCAL, Direction.SOUTH, Direction.NORTH,
 #: vnet -> routing discipline.  Requests (vnet 0) go XY; data/pushes
 #: (vnet 1) and control/invalidations (vnet 2) go YX.
 VNET_ROUTING = {0: "xy", 1: "yx", 2: "yx"}
-
-
-def xy_route(cur_row: int, cur_col: int, dst_row: int,
-             dst_col: int) -> Direction:
-    """Next hop under XY routing (X dimension first)."""
-    if dst_col > cur_col:
-        return Direction.EAST
-    if dst_col < cur_col:
-        return Direction.WEST
-    if dst_row > cur_row:
-        return Direction.SOUTH
-    if dst_row < cur_row:
-        return Direction.NORTH
-    return Direction.LOCAL
-
-
-def yx_route(cur_row: int, cur_col: int, dst_row: int,
-             dst_col: int) -> Direction:
-    """Next hop under YX routing (Y dimension first)."""
-    if dst_row > cur_row:
-        return Direction.SOUTH
-    if dst_row < cur_row:
-        return Direction.NORTH
-    if dst_col > cur_col:
-        return Direction.EAST
-    if dst_col < cur_col:
-        return Direction.WEST
-    return Direction.LOCAL
 
 
 class RoutingTables:

@@ -27,23 +27,24 @@ which fabric they serve:
 Implementations
 ---------------
 
-==================  ================================================
-``mesh``            2D mesh, XY/YX dimension-ordered routing (the
-                    paper's fabric; bit-identical to the original
-                    hardwired implementation)
-``torus``           2D torus: per-dimension shortest direction with an
-                    antisymmetric tie-break, dateline VC classes on
-                    the wraparound links
-``ring``            bidirectional ring: shortest-direction routing,
-                    dateline VC classes
-``cmesh``           concentrated mesh: ``concentration`` tiles per
-                    router (default 4), halving hop counts; XY/YX over
-                    the reduced router grid
-==================  ================================================
+Two classes implement the interface:
 
-Adding a topology means subclassing :class:`Topology`, implementing the
-structure methods plus :meth:`route`, and registering it in
-:func:`build_topology` — routers, interfaces, routing tables, filters,
+* :class:`Grid` — every 2D fabric: a ``rows`` x ``cols`` router grid
+  with ``concentration`` tiles per router and optional wraparound.
+  ``mesh`` is the paper's fabric (XY/YX dimension-ordered routing);
+  ``torus`` adds the wraparound links, routes each dimension the
+  shorter way around with an antisymmetric tie-break, and puts
+  dateline VC classes on the wraparound links; ``cmesh`` puts
+  ``concentration`` tiles (default 4) on each router of the squarest
+  router grid, halving hop counts.
+* :class:`Ring` — the radix-3 bidirectional ring: shortest-direction
+  routing, dateline VC classes, four evenly spaced memory controllers.
+
+:func:`build_topology` maps a :class:`~repro.common.params.NoCParams`
+onto one of them.  A new grid variant is a new ``kind`` mapped onto
+:class:`Grid`'s parameters there; any other fabric subclasses
+:class:`Topology`, implementing the structure methods plus
+:meth:`Topology.route` — routers, interfaces, routing tables, filters,
 and the CLI pick it up unchanged.
 """
 
@@ -53,9 +54,7 @@ import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
-from repro.noc.routing import Direction, OPPOSITE, xy_route, yx_route
-
-TOPOLOGY_NAMES = ("mesh", "torus", "ring", "cmesh")
+from repro.noc.routing import Direction, OPPOSITE
 
 
 def squarest_shape(count: int) -> Tuple[int, int]:
@@ -199,113 +198,6 @@ class Topology:
                 f"routers={self.num_routers}, radix={self.radix})")
 
 
-class Mesh(Topology):
-    """A ``rows`` x ``cols`` mesh of tiles.
-
-    Tile ids are assigned row-major: tile ``r * cols + c`` sits at
-    coordinate ``(r, c)``.  Memory controllers attach at the four corner
-    tiles (Table I), or at tile 0 for meshes smaller than 2x2.
-    """
-
-    kind = "mesh"
-    ports_are_directions = True
-
-    def __init__(self, rows: int, cols: int) -> None:
-        if rows < 1 or cols < 1:
-            raise ConfigError("mesh must be at least 1x1")
-        self.rows = rows
-        self.cols = cols
-        self.num_tiles = rows * cols
-        self.num_routers = self.num_tiles
-        self.radix = len(Direction)
-        self._neighbors: List[Dict[Direction, int]] = [
-            self._compute_neighbors(tile) for tile in range(self.num_tiles)
-        ]
-
-    def coords(self, tile: int) -> Tuple[int, int]:
-        """(row, col) of a tile id."""
-        return divmod(tile, self.cols)
-
-    def tile_at(self, row: int, col: int) -> int:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise ConfigError(f"coordinate ({row}, {col}) outside mesh")
-        return row * self.cols + col
-
-    def neighbor(self, tile: int, direction: Direction) -> Optional[int]:
-        """Neighbouring tile in a direction, or None at the mesh edge."""
-        return self._neighbors[tile].get(direction)
-
-    def neighbors(self, tile: int) -> Dict[Direction, int]:
-        """All (direction -> neighbour tile) pairs for a tile."""
-        return dict(self._neighbors[tile])
-
-    def _compute_neighbors(self, tile: int) -> Dict[Direction, int]:
-        row, col = self.coords(tile)
-        result: Dict[Direction, int] = {}
-        if row > 0:
-            result[Direction.NORTH] = self.tile_at(row - 1, col)
-        if row < self.rows - 1:
-            result[Direction.SOUTH] = self.tile_at(row + 1, col)
-        if col > 0:
-            result[Direction.WEST] = self.tile_at(row, col - 1)
-        if col < self.cols - 1:
-            result[Direction.EAST] = self.tile_at(row, col + 1)
-        return result
-
-    # -- Topology interface --------------------------------------------
-
-    def router_ports(self, router: int) -> List[int]:
-        return [int(Direction.LOCAL)] + [
-            int(d) for d in self._neighbors[router]]
-
-    def link(self, router: int, port: int) -> Optional[Tuple[int, int]]:
-        if port == Direction.LOCAL:
-            return None
-        neighbor = self._neighbors[router].get(Direction(port))
-        if neighbor is None:
-            return None
-        return neighbor, int(OPPOSITE[port])
-
-    def eject_tile(self, router: int, port: int) -> Optional[int]:
-        return router if port == Direction.LOCAL else None
-
-    def attach(self, tile: int) -> Tuple[int, int]:
-        return tile, int(Direction.LOCAL)
-
-    def port_name(self, port: int) -> str:
-        return Direction(port).name.lower()
-
-    def route(self, discipline: str, cur: int, dest_tile: int) -> int:
-        cur_row, cur_col = self.coords(cur)
-        dst_row, dst_col = self.coords(dest_tile)
-        if discipline == "xy":
-            return int(xy_route(cur_row, cur_col, dst_row, dst_col))
-        return int(yx_route(cur_row, cur_col, dst_row, dst_col))
-
-    def memory_controller_tiles(self) -> Tuple[int, ...]:
-        """Tiles hosting memory controllers: the four corners.
-
-        Degenerate 1xN / Nx1 meshes collapse coincident corners to a
-        deduplicated set (two controllers on a line, one on a 1x1).
-        """
-        corners = {
-            self.tile_at(0, 0),
-            self.tile_at(0, self.cols - 1),
-            self.tile_at(self.rows - 1, 0),
-            self.tile_at(self.rows - 1, self.cols - 1),
-        }
-        return tuple(sorted(corners))
-
-    def hop_distance(self, a: int, b: int) -> int:
-        """Manhattan distance between two tiles."""
-        ra, ca = self.coords(a)
-        rb, cb = self.coords(b)
-        return abs(ra - rb) + abs(ca - cb)
-
-    def __repr__(self) -> str:
-        return f"Mesh({self.rows}x{self.cols})"
-
-
 def _ring_step(cur: int, dst: int, size: int) -> int:
     """Direction (+1 forward / -1 backward / 0 arrived) of the shortest
     walk around a ``size``-node ring.
@@ -328,130 +220,155 @@ def _ring_step(cur: int, dst: int, size: int) -> int:
     return 1 if dst > cur else -1
 
 
-class Torus(Topology):
-    """A ``rows`` x ``cols`` 2D torus (mesh plus wraparound links).
+def _line_step(cur: int, dst: int, size: int) -> int:
+    """Direction (+1 / -1 / 0) of the walk along an open line of
+    ``size`` nodes: the sign of the distance."""
+    return (dst > cur) - (dst < cur)
 
-    Routing is dimension-ordered like the mesh, but each dimension takes
-    the shorter way around its ring.  The wraparound links are datelines:
-    crossing one bumps the packet into VC class 1 of its vnet, making
-    dimension-ordered routing deadlock-free (two classes per vnet, so
-    ``vcs_per_vnet`` must be even).
+
+#: grid link directions in port order, each with its (row, col) step
+_GRID_STEPS = {Direction.NORTH: (-1, 0), Direction.SOUTH: (1, 0),
+               Direction.WEST: (0, -1), Direction.EAST: (0, 1)}
+
+
+class Grid(Topology):
+    """A ``rows`` x ``cols`` grid of routers, ``concentration`` tiles each.
+
+    Routers are numbered row-major (router ``r * cols + c`` sits at
+    ``(r, c)``); tile ``t`` attaches to router ``t // concentration`` at
+    ejection port ``t % concentration``.  Link ports follow the ejection
+    ports in :class:`Direction` order (port ``concentration - 1 + d``),
+    so ``OPPOSITE`` names the facing port on every grid.  A link steps
+    one router along one dimension.  With ``wrap`` the step is taken
+    modulo the dimension's size, each dimension routes the shorter way
+    around its ring (:func:`_ring_step`), and the wraparound links are
+    datelines: crossing one bumps the packet into VC class 1 of its
+    vnet, which keeps dimension-ordered routing deadlock-free
+    (``vcs_per_vnet`` must be even).  Memory controllers attach at the
+    first tile of each corner router (Table I), deduplicated on
+    degenerate grids.
+
+    ``kind`` names the fabric.  ``mesh`` and ``torus`` grids have one
+    tile per router and :class:`Direction` ports; a ``cmesh`` keeps
+    plain int ports named ``local0`` .. ``local{c-1}``, even at
+    concentration 1.
     """
 
-    kind = "torus"
-    ports_are_directions = True
-    num_vc_classes = 2
-
-    def __init__(self, rows: int, cols: int) -> None:
+    def __init__(self, kind: str, rows: int, cols: int,
+                 concentration: int = 1, wrap: bool = False) -> None:
         if rows < 1 or cols < 1:
-            raise ConfigError("torus must be at least 1x1")
+            raise ConfigError(f"{kind} must be at least 1x1")
+        if concentration < 1:
+            raise ConfigError("concentration must be >= 1")
+        self.kind = kind
         self.rows = rows
         self.cols = cols
-        self.num_tiles = rows * cols
-        self.num_routers = self.num_tiles
-        self.radix = len(Direction)
+        self.concentration = concentration
+        self.wrap = wrap
+        self.ports_are_directions = kind != "cmesh"
+        self.num_vc_classes = 2 if wrap else 1
+        self.num_routers = rows * cols
+        self.num_tiles = self.num_routers * concentration
+        #: the port of link direction ``d`` is ``_base + d``
+        self._base = concentration - 1
+        self.radix = self._base + len(Direction)
+        #: [cur][dst] -> Direction of the first step along a row or a
+        #: column (0 once that dimension is done)
+        self._col_dirs = self._first_steps(cols, Direction.EAST,
+                                           Direction.WEST)
+        self._row_dirs = self._first_steps(rows, Direction.SOUTH,
+                                           Direction.NORTH)
 
-    def coords(self, tile: int) -> Tuple[int, int]:
-        return divmod(tile, self.cols)
+    def _first_steps(self, size: int, forward: Direction,
+                     backward: Direction) -> List[List[int]]:
+        way = {1: int(forward), -1: int(backward), 0: 0}
+        step = _ring_step if self.wrap else _line_step
+        return [[way[step(a, b, size)] for b in range(size)]
+                for a in range(size)]
 
-    def tile_at(self, row: int, col: int) -> int:
-        return (row % self.rows) * self.cols + (col % self.cols)
+    def _far_end(self, router: int,
+                 direction: Direction) -> Optional[Tuple[int, bool]]:
+        """``(router one step away, whether the step wraps)``, or None
+        where the grid has no link that way."""
+        d_row, d_col = _GRID_STEPS[direction]
+        if (self.rows if d_row else self.cols) < 2:
+            return None
+        row, col = divmod(router, self.cols)
+        row += d_row
+        col += d_col
+        wraps = not (0 <= row < self.rows and 0 <= col < self.cols)
+        if wraps and not self.wrap:
+            return None
+        return (row % self.rows) * self.cols + col % self.cols, wraps
 
     def router_ports(self, router: int) -> List[int]:
-        ports = [int(Direction.LOCAL)]
-        if self.rows > 1:
-            ports += [int(Direction.NORTH), int(Direction.SOUTH)]
-        if self.cols > 1:
-            ports += [int(Direction.EAST), int(Direction.WEST)]
-        return ports
+        return list(range(self.concentration)) + [
+            self._base + direction for direction in _GRID_STEPS
+            if self._far_end(router, direction) is not None]
 
     def link(self, router: int, port: int) -> Optional[Tuple[int, int]]:
-        if port == Direction.LOCAL:
+        if port < self.concentration:
             return None
-        row, col = self.coords(router)
-        if port == Direction.NORTH:
-            if self.rows < 2:
-                return None
-            return self.tile_at(row - 1, col), int(Direction.SOUTH)
-        if port == Direction.SOUTH:
-            if self.rows < 2:
-                return None
-            return self.tile_at(row + 1, col), int(Direction.NORTH)
-        if port == Direction.EAST:
-            if self.cols < 2:
-                return None
-            return self.tile_at(row, col + 1), int(Direction.WEST)
-        if port == Direction.WEST:
-            if self.cols < 2:
-                return None
-            return self.tile_at(row, col - 1), int(Direction.EAST)
-        return None
+        direction = Direction(port - self._base)
+        far = self._far_end(router, direction)
+        if far is None:
+            return None
+        return far[0], self._base + OPPOSITE[direction]
 
     def eject_tile(self, router: int, port: int) -> Optional[int]:
-        return router if port == Direction.LOCAL else None
+        if port < self.concentration:
+            return router * self.concentration + port
+        return None
 
     def attach(self, tile: int) -> Tuple[int, int]:
-        return tile, int(Direction.LOCAL)
+        return divmod(tile, self.concentration)
 
     def dateline_mask(self, router: int) -> int:
-        """Wraparound links: one dateline per unidirectional ring."""
-        row, col = self.coords(router)
+        """The wraparound links: one dateline per unidirectional ring."""
         mask = 0
-        if self.cols > 1:
-            if col == self.cols - 1:
-                mask |= 1 << Direction.EAST
-            if col == 0:
-                mask |= 1 << Direction.WEST
-        if self.rows > 1:
-            if row == self.rows - 1:
-                mask |= 1 << Direction.SOUTH
-            if row == 0:
-                mask |= 1 << Direction.NORTH
+        for direction in _GRID_STEPS:
+            far = self._far_end(router, direction)
+            if far is not None and far[1]:
+                mask |= 1 << (self._base + direction)
         return mask
 
     def port_name(self, port: int) -> str:
-        return Direction(port).name.lower()
+        if port < self.concentration:
+            return "local" if self.ports_are_directions else f"local{port}"
+        return Direction(port - self._base).name.lower()
 
     def route(self, discipline: str, cur: int, dest_tile: int) -> int:
-        cur_row, cur_col = self.coords(cur)
-        dst_row, dst_col = self.coords(dest_tile)
-        col_step = _ring_step(cur_col, dst_col, self.cols)
-        row_step = _ring_step(cur_row, dst_row, self.rows)
+        dest_router, local = divmod(dest_tile, self.concentration)
+        if dest_router == cur:
+            return local
+        cur_row, cur_col = divmod(cur, self.cols)
+        dst_row, dst_col = divmod(dest_router, self.cols)
+        col = self._col_dirs[cur_col][dst_col]
+        row = self._row_dirs[cur_row][dst_row]
         if discipline == "xy":
-            if col_step:
-                return int(Direction.EAST if col_step > 0
-                           else Direction.WEST)
-            if row_step:
-                return int(Direction.SOUTH if row_step > 0
-                           else Direction.NORTH)
-            return int(Direction.LOCAL)
-        if row_step:
-            return int(Direction.SOUTH if row_step > 0
-                       else Direction.NORTH)
-        if col_step:
-            return int(Direction.EAST if col_step > 0 else Direction.WEST)
-        return int(Direction.LOCAL)
+            return self._base + (col or row)
+        return self._base + (row or col)
 
     def memory_controller_tiles(self) -> Tuple[int, ...]:
-        """Grid-corner tiles, as on the mesh (deduplicated when rows or
-        cols degenerate to 1)."""
-        corners = {
-            self.tile_at(0, 0),
-            self.tile_at(0, self.cols - 1),
-            self.tile_at(self.rows - 1, 0),
-            self.tile_at(self.rows - 1, self.cols - 1),
-        }
-        return tuple(sorted(corners))
+        last_row = (self.rows - 1) * self.cols
+        corners = {0, self.cols - 1, last_row, last_row + self.cols - 1}
+        return tuple(sorted(router * self.concentration
+                            for router in corners))
+
+    def _span(self, a: int, b: int, size: int) -> int:
+        distance = abs(a - b)
+        return min(distance, size - distance) if self.wrap else distance
 
     def hop_distance(self, a: int, b: int) -> int:
-        ra, ca = self.coords(a)
-        rb, cb = self.coords(b)
-        dr = abs(ra - rb)
-        dc = abs(ca - cb)
-        return min(dr, self.rows - dr) + min(dc, self.cols - dc)
+        row_a, col_a = divmod(a // self.concentration, self.cols)
+        row_b, col_b = divmod(b // self.concentration, self.cols)
+        return (self._span(row_a, row_b, self.rows)
+                + self._span(col_a, col_b, self.cols))
 
     def __repr__(self) -> str:
-        return f"Torus({self.rows}x{self.cols})"
+        per_router = (f"x{self.concentration}"
+                      if self.concentration > 1 else "")
+        return f"Grid({self.kind} {self.rows}x{self.cols}{per_router})"
 
 
 class Ring(Topology):
@@ -531,131 +448,12 @@ class Ring(Topology):
         return f"Ring({self.num_tiles})"
 
 
-class ConcentratedMesh(Topology):
-    """A concentrated mesh: ``concentration`` tiles share each router.
-
-    Tile ``t`` attaches to router ``t // c`` at local port ``t % c``;
-    the routers form the squarest possible grid and route XY/YX like
-    the plain mesh, so no extra deadlock-avoidance machinery is needed.
-    With c=4 the router grid shrinks 4x in node count, roughly halving
-    hop counts at the cost of a radix-(c+4) router.
-    """
-
-    kind = "cmesh"
-
-    def __init__(self, num_tiles: int, concentration: int = 4) -> None:
-        if num_tiles < 1:
-            raise ConfigError("cmesh must have at least 1 tile")
-        if concentration < 1:
-            raise ConfigError("concentration must be >= 1")
-        if num_tiles % concentration:
-            raise ConfigError(
-                f"{num_tiles} tiles do not split into routers of "
-                f"{concentration}")
-        self.num_tiles = num_tiles
-        self.concentration = concentration
-        self.num_routers = num_tiles // concentration
-        self.rows, self.cols = squarest_shape(self.num_routers)
-        #: link ports sit after the local ports, in Direction order
-        #: (port = _dir_base + Direction), so OPPOSITE still applies.
-        self._dir_base = concentration - 1
-        self.radix = concentration + 4
-
-    def router_coords(self, router: int) -> Tuple[int, int]:
-        return divmod(router, self.cols)
-
-    def router_at(self, row: int, col: int) -> int:
-        return row * self.cols + col
-
-    def _link_port(self, direction: Direction) -> int:
-        return self._dir_base + int(direction)
-
-    def router_ports(self, router: int) -> List[int]:
-        ports = list(range(self.concentration))
-        row, col = self.router_coords(router)
-        if row > 0:
-            ports.append(self._link_port(Direction.NORTH))
-        if row < self.rows - 1:
-            ports.append(self._link_port(Direction.SOUTH))
-        if col > 0:
-            ports.append(self._link_port(Direction.WEST))
-        if col < self.cols - 1:
-            ports.append(self._link_port(Direction.EAST))
-        return ports
-
-    def link(self, router: int, port: int) -> Optional[Tuple[int, int]]:
-        if port < self.concentration:
-            return None
-        direction = Direction(port - self._dir_base)
-        row, col = self.router_coords(router)
-        if direction == Direction.NORTH and row > 0:
-            neighbor = self.router_at(row - 1, col)
-        elif direction == Direction.SOUTH and row < self.rows - 1:
-            neighbor = self.router_at(row + 1, col)
-        elif direction == Direction.WEST and col > 0:
-            neighbor = self.router_at(row, col - 1)
-        elif direction == Direction.EAST and col < self.cols - 1:
-            neighbor = self.router_at(row, col + 1)
-        else:
-            return None
-        return neighbor, self._link_port(OPPOSITE[direction])
-
-    def eject_tile(self, router: int, port: int) -> Optional[int]:
-        if port < self.concentration:
-            return router * self.concentration + port
-        return None
-
-    def attach(self, tile: int) -> Tuple[int, int]:
-        return tile // self.concentration, tile % self.concentration
-
-    def port_name(self, port: int) -> str:
-        if port < self.concentration:
-            return f"local{port}"
-        return Direction(port - self._dir_base).name.lower()
-
-    def route(self, discipline: str, cur: int, dest_tile: int) -> int:
-        dest_router, local = divmod(dest_tile, self.concentration)
-        if dest_router == cur:
-            return local
-        cur_row, cur_col = self.router_coords(cur)
-        dst_row, dst_col = self.router_coords(dest_router)
-        if discipline == "xy":
-            step = xy_route(cur_row, cur_col, dst_row, dst_col)
-        else:
-            step = yx_route(cur_row, cur_col, dst_row, dst_col)
-        return self._link_port(step)
-
-    def memory_controller_tiles(self) -> Tuple[int, ...]:
-        """The first tile of each corner router (deduplicated)."""
-        corners = {
-            self.router_at(0, 0),
-            self.router_at(0, self.cols - 1),
-            self.router_at(self.rows - 1, 0),
-            self.router_at(self.rows - 1, self.cols - 1),
-        }
-        return tuple(sorted(r * self.concentration for r in corners))
-
-    def hop_distance(self, a: int, b: int) -> int:
-        ra, ca = self.router_coords(a // self.concentration)
-        rb, cb = self.router_coords(b // self.concentration)
-        return abs(ra - rb) + abs(ca - cb)
-
-    def __repr__(self) -> str:
-        return (f"ConcentratedMesh({self.rows}x{self.cols}x"
-                f"{self.concentration})")
-
-
 def build_topology(params) -> Topology:
     """Instantiate the fabric described by a :class:`NoCParams`."""
-    kind = getattr(params, "topology", "mesh")
-    if kind == "mesh":
-        return Mesh(params.rows, params.cols)
-    if kind == "torus":
-        return Torus(params.rows, params.cols)
+    kind = params.topology
     if kind == "ring":
-        return Ring(params.rows * params.cols)
+        return Ring(params.num_tiles)
     if kind == "cmesh":
-        return ConcentratedMesh(params.rows * params.cols,
-                                getattr(params, "concentration", 4))
-    raise ConfigError(
-        f"unknown topology {kind!r}; expected one of {TOPOLOGY_NAMES}")
+        rows, cols = squarest_shape(params.num_tiles // params.concentration)
+        return Grid(kind, rows, cols, params.concentration)
+    return Grid(kind, params.rows, params.cols, wrap=kind == "torus")

@@ -241,11 +241,23 @@ class SamplingPolicy:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SamplingPolicy":
-        known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
+        if not isinstance(data, dict):
+            raise ValueError(f"sampling policy must be a mapping, "
+                             f"got {type(data).__name__}")
+        fields = cls.__dataclass_fields__
+        known = {f: data[f] for f in fields if f in data}
         unknown = set(data) - set(known)
         if unknown:
             raise ValueError(
                 f"unknown sampling-policy fields: {sorted(unknown)}")
+        for name, value in known.items():
+            kind = type(fields[name].default)
+            # a float field takes an int too; no field takes a bool
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(
+                    f"{name} must be of type {kind.__name__}, "
+                    f"got {value!r}")
         return cls(**known)
 
 

@@ -149,7 +149,9 @@ class Store:
     """A content-addressed cache universe at one root.
 
     ``root`` is a path, a ``file://`` URL, or None (resolved by
-    :func:`cache_root`); any other URL scheme is a ``ValueError``.
+    :func:`cache_root`).  Any other URL scheme is a ``ValueError``, and
+    so is a ``file://`` URL naming a host other than ``localhost`` or no
+    path (``file://name`` puts ``name`` in the host field, not the path).
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -159,6 +161,10 @@ class Store:
                 raise ValueError(
                     f"unsupported remote scheme {parts.scheme!r} in "
                     f"{str(root)!r}; known: file")
+            if parts.netloc not in ("", "localhost") or not parts.path:
+                raise ValueError(
+                    f"{str(root)!r} names no local path; write "
+                    f"file:///absolute/path or a plain path")
             root = parts.path
         self.root = cache_root(root)
 

@@ -240,6 +240,33 @@ class TestCacheCommand:
         assert not store.object_path(old_digest).exists()
 
 
+    def test_push_refuses_a_file_url_without_a_path(self, capsys,
+                                                    tmp_path) -> None:
+        assert main(["cache", "push", "--remote", "file://relative-name",
+                     "--dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestConfigErrors:
+    """A configuration the simulator rejects ends in an ``error:`` line
+    and exit status 1 from every subcommand, not a traceback."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "cachebw", "baseline", "--cores", "4", "--shape", "3x5"],
+         "shape 3x5 holds 15 tiles"),
+        (["compare", "cachebw", "--cores", "4", "--shape", "3x5"],
+         "shape 3x5 holds 15 tiles"),
+        (["sweep", "cachebw", "--topology", "cmesh", "--concentration",
+          "3"], "16 tiles do not split into routers of 3"),
+        (["topo", "mesh", "--cores", "0"], "core count must be >= 1"),
+    ], ids=["run", "compare", "sweep", "topo"])
+    def test_config_error_is_an_error_line(self, capsys, argv,
+                                           message) -> None:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
 class TestTopologyFlags:
     def test_run_on_torus(self, capsys) -> None:
         code = main(["run", "pathfinder", "noprefetch", "--cores", "4",

@@ -75,6 +75,19 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match=message):
             _spec(sampling=sampling)
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"sampling": {"samples": "3"}}, "samples must be of type int"),
+        ({"sampling": 5}, "sampling policy must be a mapping"),
+        ({"num_cores": "four"}, "'num_cores' must be an integer"),
+        ({"seeds": [1, "x"]}, "'seeds' must be an integer"),
+        ({"max_cycles": "lots"}, "'max_cycles' must be an integer"),
+        ({"sizes": [1]}, "'sizes' must be a mapping"),
+    ])
+    def test_wrongly_typed_values_are_config_errors(self, fields,
+                                                    message) -> None:
+        with pytest.raises(ConfigError, match=message):
+            _spec(**fields)
+
     def test_sampling_excludes_manual_warmup(self) -> None:
         with pytest.raises(ConfigError, match="mutually exclusive"):
             _spec(sampling={"samples": 2}, warmup_barriers=2)

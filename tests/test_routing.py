@@ -9,45 +9,64 @@ from repro.noc.routing import (
     RoutingTables,
     multicast_output_ports,
     route_compute,
-    xy_route,
-    yx_route,
 )
-from repro.noc.topology import Mesh
+from repro.noc.topology import Grid
 
 
-def _walk(mesh: Mesh, src: int, dest: int, vnet: int) -> int:
-    """Follow the routing decisions from src; returns hop count."""
-    cur = src
-    hops = 0
+def _xy_reference(cur_row: int, cur_col: int, dst_row: int,
+                  dst_col: int) -> Direction:
+    """Closed-form next hop under XY routing (X dimension first)."""
+    if dst_col != cur_col:
+        return Direction.EAST if dst_col > cur_col else Direction.WEST
+    if dst_row != cur_row:
+        return Direction.SOUTH if dst_row > cur_row else Direction.NORTH
+    return Direction.LOCAL
+
+
+def _yx_reference(cur_row: int, cur_col: int, dst_row: int,
+                  dst_col: int) -> Direction:
+    """Closed-form next hop under YX routing (Y dimension first)."""
+    if dst_row != cur_row:
+        return Direction.SOUTH if dst_row > cur_row else Direction.NORTH
+    if dst_col != cur_col:
+        return Direction.EAST if dst_col > cur_col else Direction.WEST
+    return Direction.LOCAL
+
+
+def _path(mesh: Grid, src: int, dest: int, vnet: int) -> list:
+    """Follow the routing decisions from src; returns the routers
+    visited, src and dest included."""
+    path = [src]
     while True:
-        step = route_compute(mesh, cur, dest, vnet)
+        step = route_compute(mesh, path[-1], dest, vnet)
         if step is Direction.LOCAL:
-            assert cur == dest
-            return hops
-        cur = mesh.neighbor(cur, step)
-        assert cur is not None, "route left the mesh"
-        hops += 1
-        assert hops <= mesh.rows + mesh.cols, "routing loop"
+            assert path[-1] == dest
+            return path
+        link = mesh.link(path[-1], step)
+        assert link is not None, "route left the mesh"
+        path.append(link[0])
+        assert len(path) <= mesh.rows + mesh.cols, "routing loop"
 
 
 class TestDisciplines:
     def test_xy_goes_horizontal_first(self) -> None:
-        assert xy_route(0, 0, 1, 1) is Direction.EAST
+        assert route_compute(Grid("mesh", 4, 4), 0, 5, 0) is Direction.EAST
 
     def test_yx_goes_vertical_first(self) -> None:
-        assert yx_route(0, 0, 1, 1) is Direction.SOUTH
+        assert route_compute(Grid("mesh", 4, 4), 0, 5, 1) is Direction.SOUTH
 
     def test_local_at_destination(self) -> None:
-        assert xy_route(2, 2, 2, 2) is Direction.LOCAL
-        assert yx_route(2, 2, 2, 2) is Direction.LOCAL
+        mesh = Grid("mesh", 4, 4)
+        assert route_compute(mesh, 10, 10, 0) is Direction.LOCAL
+        assert route_compute(mesh, 10, 10, 1) is Direction.LOCAL
 
     @given(st.integers(min_value=0, max_value=63),
            st.integers(min_value=0, max_value=63),
            st.sampled_from([0, 1, 2]))
     def test_routes_always_reach_destination(self, src: int, dest: int,
                                              vnet: int) -> None:
-        mesh = Mesh(8, 8)
-        hops = _walk(mesh, src, dest, vnet)
+        mesh = Grid("mesh", 8, 8)
+        hops = len(_path(mesh, src, dest, vnet)) - 1
         assert hops == mesh.hop_distance(src, dest)
 
     @given(st.integers(min_value=0, max_value=15),
@@ -55,21 +74,9 @@ class TestDisciplines:
     def test_yx_is_reverse_of_xy(self, src: int, dest: int) -> None:
         """A YX push retraces a XY request's path in reverse — the
         property the in-network filter placement relies on (§III-C)."""
-        mesh = Mesh(4, 4)
-        forward = []
-        cur = src
-        while cur != dest:
-            step = route_compute(mesh, cur, dest, vnet=0)  # XY
-            forward.append(cur)
-            cur = mesh.neighbor(cur, step)
-        forward.append(dest)
-        backward = []
-        cur = dest
-        while cur != src:
-            step = route_compute(mesh, cur, src, vnet=1)  # YX
-            backward.append(cur)
-            cur = mesh.neighbor(cur, step)
-        backward.append(src)
+        mesh = Grid("mesh", 4, 4)
+        forward = _path(mesh, src, dest, vnet=0)  # XY
+        backward = _path(mesh, dest, src, vnet=1)  # YX
         assert forward == list(reversed(backward))
 
 
@@ -79,7 +86,7 @@ class TestRoutingTables:
            st.sampled_from([0, 1, 2]))
     def test_tables_match_route_compute(self, cur: int, dest: int,
                                         vnet: int) -> None:
-        mesh = Mesh(4, 4)
+        mesh = Grid("mesh", 4, 4)
         tables = RoutingTables(mesh)
         assert tables.next_hop(vnet, cur, dest) is route_compute(
             mesh, cur, dest, vnet)
@@ -90,31 +97,32 @@ class TestRoutingTables:
     def test_tables_match_closed_form_on_random_meshes(self, rows: int,
                                                        cols: int,
                                                        data) -> None:
-        """The table-driven generalization must reproduce the original
-        closed-form XY/YX answers on every mesh size, not just 4x4."""
-        mesh = Mesh(rows, cols)
+        """The table-driven grid must reproduce the closed-form XY/YX
+        answers on every mesh size, not just 4x4."""
+        mesh = Grid("mesh", rows, cols)
         tables = RoutingTables(mesh)
         tile = st.integers(min_value=0, max_value=mesh.num_tiles - 1)
         cur = data.draw(tile, label="cur")
         dest = data.draw(tile, label="dest")
-        cr, cc = mesh.coords(cur)
-        dr, dc = mesh.coords(dest)
-        assert tables.next_hop(0, cur, dest) is xy_route(cr, cc, dr, dc)
+        cr, cc = divmod(cur, cols)
+        dr, dc = divmod(dest, cols)
+        assert tables.next_hop(0, cur, dest) is _xy_reference(cr, cc,
+                                                              dr, dc)
         for vnet in (1, 2):
-            assert tables.next_hop(vnet, cur, dest) is yx_route(cr, cc,
-                                                                dr, dc)
+            assert tables.next_hop(vnet, cur, dest) is _yx_reference(
+                cr, cc, dr, dc)
 
 
 class TestMulticastSplit:
     def test_groups_partition_destinations(self) -> None:
-        mesh = Mesh(4, 4)
+        mesh = Grid("mesh", 4, 4)
         dests = (0, 3, 12, 15, 5)
         groups = multicast_output_ports(mesh, 5, dests, vnet=1)
         regrouped = sorted(d for group in groups.values() for d in group)
         assert regrouped == sorted(dests)
 
     def test_local_group_is_self_only(self) -> None:
-        mesh = Mesh(4, 4)
+        mesh = Grid("mesh", 4, 4)
         groups = multicast_output_ports(mesh, 5, (5, 6), vnet=1)
         assert groups[Direction.LOCAL] == (5,)
 
@@ -122,7 +130,7 @@ class TestMulticastSplit:
            st.sets(st.integers(min_value=0, max_value=15), min_size=1,
                    max_size=16))
     def test_tables_split_partitions(self, cur: int, dests) -> None:
-        mesh = Mesh(4, 4)
+        mesh = Grid("mesh", 4, 4)
         tables = RoutingTables(mesh)
         groups = tables.output_ports(1, cur, tuple(sorted(dests)))
         regrouped = sorted(d for group in groups.values() for d in group)

@@ -372,6 +372,15 @@ class TestPushPull:
         with pytest.raises(ValueError, match="unsupported remote scheme"):
             push(store, "s3://bucket/prefix")
 
+    @pytest.mark.parametrize("url", ["file://store-b", "file://host/x/y",
+                                     "file://", "file://localhost"])
+    def test_file_url_without_a_local_path_is_refused(self, url) -> None:
+        with pytest.raises(ValueError, match="names no local path"):
+            Store(url)
+
+    def test_localhost_file_url_is_a_local_path(self, tmp_path) -> None:
+        assert Store(f"file://localhost{tmp_path}").root == tmp_path
+
     def test_corrupt_source_object_is_not_copied(self, tmp_path) -> None:
         """A source object that fails verification moves nothing — not
         the object, not its entry — so a push after the source is

@@ -1,4 +1,4 @@
-"""Topology tests: mesh, torus, ring, and concentrated mesh."""
+"""Topology tests: the grid fabrics (mesh, torus, cmesh) and the ring."""
 
 from __future__ import annotations
 
@@ -8,8 +8,25 @@ from hypothesis import given, strategies as st
 from repro.common.errors import ConfigError
 from repro.common.params import NoCParams
 from repro.noc.routing import Direction, OPPOSITE
-from repro.noc.topology import (ConcentratedMesh, Mesh, Ring, Torus,
-                                build_topology, squarest_shape)
+from repro.noc.topology import Grid, Ring, build_topology, squarest_shape
+
+
+def mesh(rows: int, cols: int) -> Grid:
+    return Grid("mesh", rows, cols)
+
+
+def torus(rows: int, cols: int) -> Grid:
+    return Grid("torus", rows, cols, wrap=True)
+
+
+def cmesh(tiles: int, concentration: int = 4) -> Grid:
+    return Grid("cmesh", *squarest_shape(tiles // concentration),
+                concentration)
+
+
+def _link_ports(topology, router: int):
+    return [port for port in topology.router_ports(router)
+            if topology.link(router, port) is not None]
 
 
 def _route_to(topology, src_tile: int, dest_tile: int,
@@ -31,69 +48,72 @@ def _route_to(topology, src_tile: int, dest_tile: int,
 
 class TestMeshBasics:
     def test_coords_roundtrip(self) -> None:
-        mesh = Mesh(4, 4)
-        for tile in range(16):
-            row, col = mesh.coords(tile)
-            assert mesh.tile_at(row, col) == tile
+        # tiles are numbered row-major: tile r * cols + c sits at (r, c)
+        grid = mesh(4, 4)
+        for row in range(4):
+            for col in range(4):
+                assert grid.hop_distance(0, row * 4 + col) == row + col
 
     def test_corner_has_two_neighbors(self) -> None:
-        mesh = Mesh(4, 4)
-        assert len(mesh.neighbors(0)) == 2
+        assert len(_link_ports(mesh(4, 4), 0)) == 2
 
     def test_center_has_four_neighbors(self) -> None:
-        mesh = Mesh(4, 4)
-        assert len(mesh.neighbors(5)) == 4
+        assert len(_link_ports(mesh(4, 4), 5)) == 4
 
     def test_edge_rejects_out_of_range(self) -> None:
-        with pytest.raises(ConfigError):
-            Mesh(4, 4).tile_at(4, 0)
+        grid = mesh(4, 4)
+        assert int(Direction.EAST) not in grid.router_ports(3)
+        assert grid.link(3, int(Direction.EAST)) is None
+        assert grid.link(12, int(Direction.SOUTH)) is None
 
     def test_rejects_empty_mesh(self) -> None:
         with pytest.raises(ConfigError):
-            Mesh(0, 4)
+            mesh(0, 4)
 
 
 class TestNeighborSymmetry:
     @given(st.integers(min_value=0, max_value=63))
     def test_neighbor_relation_is_symmetric(self, tile: int) -> None:
-        mesh = Mesh(8, 8)
-        for direction, neighbor in mesh.neighbors(tile).items():
-            assert mesh.neighbor(neighbor, OPPOSITE[direction]) == tile
+        grid = mesh(8, 8)
+        for port in _link_ports(grid, tile):
+            neighbor, facing = grid.link(tile, port)
+            assert facing == OPPOSITE[port]
+            assert grid.link(neighbor, facing) == (tile, port)
 
 
 class TestDistances:
     def test_hop_distance_is_manhattan(self) -> None:
-        mesh = Mesh(4, 4)
-        assert mesh.hop_distance(0, 15) == 6
-        assert mesh.hop_distance(0, 0) == 0
-        assert mesh.hop_distance(0, 3) == 3
+        grid = mesh(4, 4)
+        assert grid.hop_distance(0, 15) == 6
+        assert grid.hop_distance(0, 0) == 0
+        assert grid.hop_distance(0, 3) == 3
 
     @given(st.integers(min_value=0, max_value=15),
            st.integers(min_value=0, max_value=15))
     def test_hop_distance_symmetric(self, a: int, b: int) -> None:
-        mesh = Mesh(4, 4)
-        assert mesh.hop_distance(a, b) == mesh.hop_distance(b, a)
+        grid = mesh(4, 4)
+        assert grid.hop_distance(a, b) == grid.hop_distance(b, a)
 
 
 class TestMemoryControllers:
     def test_4x4_has_four_corner_controllers(self) -> None:
-        assert Mesh(4, 4).memory_controller_tiles() == (0, 3, 12, 15)
+        assert mesh(4, 4).memory_controller_tiles() == (0, 3, 12, 15)
 
     def test_8x8_corners(self) -> None:
-        assert Mesh(8, 8).memory_controller_tiles() == (0, 7, 56, 63)
+        assert mesh(8, 8).memory_controller_tiles() == (0, 7, 56, 63)
 
     def test_1x1_has_one(self) -> None:
-        assert Mesh(1, 1).memory_controller_tiles() == (0,)
+        assert mesh(1, 1).memory_controller_tiles() == (0,)
 
     def test_degenerate_line_meshes_deduplicate_corners(self) -> None:
         # Regression: on a 1xN (or Nx1) mesh two "corners" coincide per
         # end; the controller list must not contain duplicates.
-        assert Mesh(1, 4).memory_controller_tiles() == (0, 3)
-        assert Mesh(4, 1).memory_controller_tiles() == (0, 3)
-        assert Mesh(1, 2).memory_controller_tiles() == (0, 1)
+        assert mesh(1, 4).memory_controller_tiles() == (0, 3)
+        assert mesh(4, 1).memory_controller_tiles() == (0, 3)
+        assert mesh(1, 2).memory_controller_tiles() == (0, 1)
 
     def test_torus_line_also_deduplicates(self) -> None:
-        assert Torus(1, 4).memory_controller_tiles() == (0, 3)
+        assert torus(1, 4).memory_controller_tiles() == (0, 3)
 
     def test_ring_spaces_four_around(self) -> None:
         assert Ring(16).memory_controller_tiles() == (0, 4, 8, 12)
@@ -101,15 +121,22 @@ class TestMemoryControllers:
 
     def test_cmesh_corner_routers(self) -> None:
         # 16 tiles / c=4 -> 2x2 routers; first tile of each corner.
-        assert ConcentratedMesh(16).memory_controller_tiles() == (0, 4, 8, 12)
+        assert cmesh(16).memory_controller_tiles() == (0, 4, 8, 12)
 
 
-ALL_FABRICS = [Mesh(4, 4), Mesh(1, 5), Torus(4, 4), Torus(2, 8),
-               Ring(16), Ring(5), ConcentratedMesh(16),
-               ConcentratedMesh(16, concentration=2)]
+ALL_FABRICS = [
+    pytest.param(mesh(4, 4), id="Mesh(4x4)"),
+    pytest.param(mesh(1, 5), id="Mesh(1x5)"),
+    pytest.param(torus(4, 4), id="Torus(4x4)"),
+    pytest.param(torus(2, 8), id="Torus(2x8)"),
+    pytest.param(Ring(16), id="Ring(16)"),
+    pytest.param(Ring(5), id="Ring(5)"),
+    pytest.param(cmesh(16), id="ConcentratedMesh(2x2x4)"),
+    pytest.param(cmesh(16, concentration=2), id="ConcentratedMesh(2x4x2)"),
+]
 
 
-@pytest.mark.parametrize("topology", ALL_FABRICS, ids=repr)
+@pytest.mark.parametrize("topology", ALL_FABRICS)
 class TestPortGraphInvariants:
     def test_links_are_symmetric_pairs(self, topology) -> None:
         for router, port, neighbor, facing in topology.links():
@@ -154,42 +181,42 @@ class TestPortGraphInvariants:
 
 class TestTorus:
     def test_wraparound_links_exist(self) -> None:
-        torus = Torus(4, 4)
+        grid = torus(4, 4)
         # west edge wraps to east edge of the same row
-        assert torus.link(0, int(Direction.WEST)) == (3, int(Direction.EAST))
+        assert grid.link(0, int(Direction.WEST)) == (3, int(Direction.EAST))
         # top edge wraps to bottom of the same column
-        assert torus.link(0, int(Direction.NORTH)) == (12, int(Direction.SOUTH))
+        assert grid.link(0, int(Direction.NORTH)) == (12, int(Direction.SOUTH))
 
     def test_hop_distance_uses_short_way_around(self) -> None:
-        torus = Torus(4, 4)
-        assert torus.hop_distance(0, 3) == 1    # wrap west
-        assert torus.hop_distance(0, 12) == 1   # wrap north
-        assert torus.hop_distance(0, 15) == 2
-        assert Mesh(4, 4).hop_distance(0, 15) == 6
+        grid = torus(4, 4)
+        assert grid.hop_distance(0, 3) == 1    # wrap west
+        assert grid.hop_distance(0, 12) == 1   # wrap north
+        assert grid.hop_distance(0, 15) == 2
+        assert mesh(4, 4).hop_distance(0, 15) == 6
 
     def test_each_unidirectional_ring_has_one_dateline(self) -> None:
-        torus = Torus(4, 4)
+        grid = torus(4, 4)
         for direction in (Direction.EAST, Direction.WEST,
                           Direction.NORTH, Direction.SOUTH):
             count = sum(1 for r in range(16)
-                        if torus.dateline_mask(r) & (1 << direction))
+                        if grid.dateline_mask(r) & (1 << direction))
             assert count == 4  # one per row-ring / column-ring
 
     def test_route_prefers_wraparound(self) -> None:
-        torus = Torus(4, 4)
+        grid = torus(4, 4)
         # 0 -> 3 is one hop west around the ring, not three hops east.
-        assert torus.route("xy", 0, 3) == int(Direction.WEST)
+        assert grid.route("xy", 0, 3) == int(Direction.WEST)
 
     def test_equal_distance_tie_break_is_antisymmetric(self) -> None:
-        torus = Torus(4, 4)
-        fwd = torus.route("xy", 0, 2)   # distance 2 either way
-        rev = torus.route("xy", 2, 0)
+        grid = torus(4, 4)
+        fwd = grid.route("xy", 0, 2)   # distance 2 either way
+        rev = grid.route("xy", 2, 0)
         assert {fwd, rev} == {int(Direction.EAST), int(Direction.WEST)}
 
     def test_degenerate_1xn_has_no_vertical_ports(self) -> None:
-        torus = Torus(1, 4)
-        assert int(Direction.NORTH) not in torus.router_ports(0)
-        assert torus.link(0, int(Direction.NORTH)) is None
+        grid = torus(1, 4)
+        assert int(Direction.NORTH) not in grid.router_ports(0)
+        assert grid.link(0, int(Direction.NORTH)) is None
 
 
 class TestRing:
@@ -215,34 +242,41 @@ class TestRing:
 
 class TestConcentratedMesh:
     def test_tiles_share_routers(self) -> None:
-        cmesh = ConcentratedMesh(16)
-        assert cmesh.num_routers == 4
-        assert cmesh.attach(0) == (0, 0)
-        assert cmesh.attach(3) == (0, 3)
-        assert cmesh.attach(4) == (1, 0)
+        grid = cmesh(16)
+        assert grid.num_routers == 4
+        assert grid.attach(0) == (0, 0)
+        assert grid.attach(3) == (0, 3)
+        assert grid.attach(4) == (1, 0)
 
     def test_same_router_tiles_route_straight_to_ejection(self) -> None:
-        cmesh = ConcentratedMesh(16)
-        router, _ = cmesh.attach(1)
-        port = cmesh.route("xy", router, 2)
-        assert cmesh.eject_tile(router, port) == 2
-        assert cmesh.hop_distance(1, 2) == 0
+        grid = cmesh(16)
+        router, _ = grid.attach(1)
+        port = grid.route("xy", router, 2)
+        assert grid.eject_tile(router, port) == 2
+        assert grid.hop_distance(1, 2) == 0
 
     def test_concentration_halves_average_hops(self) -> None:
-        assert (ConcentratedMesh(16).average_hop_distance()
-                < Mesh(4, 4).average_hop_distance() / 2)
+        assert (cmesh(16).average_hop_distance()
+                < mesh(4, 4).average_hop_distance() / 2)
 
     def test_rejects_uneven_split(self) -> None:
         with pytest.raises(ConfigError):
-            ConcentratedMesh(10, concentration=4)
+            NoCParams(rows=2, cols=5, topology="cmesh", concentration=4)
 
 
 class TestBuildTopology:
     def test_factory_dispatch(self) -> None:
-        for kind, cls in [("mesh", Mesh), ("torus", Torus), ("ring", Ring),
-                          ("cmesh", ConcentratedMesh)]:
-            params = NoCParams(rows=4, cols=4, topology=kind)
-            assert type(build_topology(params)) is cls
+        fabrics = {kind: build_topology(NoCParams(rows=4, cols=8,
+                                                  topology=kind))
+                   for kind in ("mesh", "torus", "ring", "cmesh")}
+        assert type(fabrics["ring"]) is Ring
+        assert fabrics["ring"].num_tiles == 32
+        shapes = {kind: (type(grid), grid.kind, grid.rows, grid.cols,
+                         grid.concentration, grid.wrap)
+                  for kind, grid in fabrics.items() if kind != "ring"}
+        assert shapes == {"mesh": (Grid, "mesh", 4, 8, 1, False),
+                          "torus": (Grid, "torus", 4, 8, 1, True),
+                          "cmesh": (Grid, "cmesh", 2, 4, 4, False)}
 
     def test_unknown_kind_rejected_by_params(self) -> None:
         with pytest.raises(ConfigError):
