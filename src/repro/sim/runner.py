@@ -27,7 +27,7 @@ from repro.common.errors import SimulationError
 from repro.common.params import SystemParams
 from repro.sim.config import make_params
 from repro.sim.results import SimResult, collect_result
-from repro.sim.system import System
+from repro.sim.system import System, parked_gc
 
 _CONFIG_KEYWORDS = frozenset(
     inspect.signature(make_params).parameters) - {"config"}
@@ -67,6 +67,7 @@ def resolve_point(workload: str, config: str, num_cores: int,
     return params, wl_kwargs
 
 
+@parked_gc()
 def run_system(params: SystemParams, traces: List, workload: str = "custom",
                config: str = "custom",
                max_cycles: int = 100_000_000) -> SimResult:
@@ -83,6 +84,7 @@ def run_system(params: SystemParams, traces: List, workload: str = "custom",
 _ANCESTOR_PROBE_LIMIT = 64
 
 
+@parked_gc()
 def ensure_warm_states(workload: str, config: str, params: SystemParams,
                        traces: List, num_cores: int, seed: int,
                        wl_kwargs: Dict, barrier_list: List[int],
@@ -272,23 +274,28 @@ def run_workload(workload: str, config: str = "baseline",
                               num_cores, seed, wl_kwargs, warmup_barriers,
                               warmup_mode, checkpoint, max_cycles,
                               chained=measure_cycles > 0)
-    system = System(params)
-    system.attach_workload(traces)
-    restore_at = restore_system(system, state)
-    region_start = restore_at + detach_cycles
-    if detach_cycles:
-        reached = system.run(max_cycles=max_cycles, stop_at=region_start)
-        if reached < region_start:
-            raise SimulationError(
-                f"workload finished at cycle {reached}, inside the "
-                f"{detach_cycles}-cycle detach window from anchor "
-                f"{restore_at} — shrink detach_cycles or use an "
-                f"earlier anchor")
-        state = rebase_measurement(state, system, workload, config)
-    stop_at = region_start + measure_cycles if measure_cycles else None
-    finish = system.run(max_cycles=max_cycles, stop_at=stop_at)
-    result = measured_result(system, workload, config, finish, state,
-                             warmup_barriers, warmup_mode)
+    # Parked apart from the warm build, which frees its own System
+    # before this one is made.
+    with parked_gc():
+        system = System(params)
+        system.attach_workload(traces)
+        restore_at = restore_system(system, state)
+        region_start = restore_at + detach_cycles
+        if detach_cycles:
+            reached = system.run(max_cycles=max_cycles,
+                                 stop_at=region_start)
+            if reached < region_start:
+                raise SimulationError(
+                    f"workload finished at cycle {reached}, inside the "
+                    f"{detach_cycles}-cycle detach window from anchor "
+                    f"{restore_at} — shrink detach_cycles or use an "
+                    f"earlier anchor")
+            state = rebase_measurement(state, system, workload, config)
+        stop_at = region_start + measure_cycles if measure_cycles else None
+        finish = system.run(max_cycles=max_cycles, stop_at=stop_at)
+        result = measured_result(system, workload, config, finish, state,
+                                 warmup_barriers, warmup_mode)
+        del system  # dead before the park's closing collection
     if measure_cycles:
         result.extra["measured_cycles"] = measure_cycles
         if detach_cycles:

@@ -68,6 +68,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
+import sys
 import time
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -305,13 +307,20 @@ def _simulate(point: SweepPoint) -> Dict:
     return result.to_dict()
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts KB on Linux and bytes on macOS
+    return peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
+
+
 def _execute_chunk(points: List[SweepPoint]
-                   ) -> Tuple[List[Dict], List[float], int, float]:
+                   ) -> Tuple[List[Dict], List[float], int, float, float]:
     """Worker entry: simulate a chunk of points back to back.
 
     Returns the result dicts, per-point wall seconds, how many warm
-    restores the chunk served from this worker's snapshot memo, and
-    the chunk's CPU seconds in this worker.
+    restores the chunk served from this worker's snapshot memo, the
+    chunk's CPU seconds in this worker, and the worker's peak RSS (MB).
     """
     cpu_start = time.process_time()
     memo = _worker_ckpt_store()
@@ -323,7 +332,8 @@ def _execute_chunk(points: List[SweepPoint]
         dicts.append(_simulate(point))
         walls.append(time.perf_counter() - start)
     memo_hits = (memo.memo_hits - memo_before) if memo is not None else 0
-    return dicts, walls, memo_hits, time.process_time() - cpu_start
+    return (dicts, walls, memo_hits, time.process_time() - cpu_start,
+            _peak_rss_mb())
 
 
 def _warm_checkpoint_key(point: SweepPoint,
@@ -345,10 +355,11 @@ def _warm_checkpoint_key(point: SweepPoint,
 
 
 def _build_images(point: SweepPoint, barriers: List[int]
-                  ) -> Tuple[float, float]:
+                  ) -> Tuple[float, float, float]:
     """Worker entry: build the planned (just probed missing, so not
     re-probed) warm images at ``barriers``; returns the build's wall
-    seconds (its ``timings["build"]`` contribution) and CPU seconds."""
+    seconds (its ``timings["build"]`` contribution), CPU seconds and
+    the worker's peak RSS (MB)."""
     from repro.sim.runner import ensure_warm_states, resolve_point
     from repro.workloads.registry import build_trace_buffers
 
@@ -365,7 +376,8 @@ def _build_images(point: SweepPoint, barriers: List[int]
                        point.warmup_mode, _worker_ckpt_store(),
                        point.max_cycles, force=barriers,
                        chained=point.measure_cycles > 0)
-    return time.perf_counter() - start, time.process_time() - cpu_start
+    return (time.perf_counter() - start, time.process_time() - cpu_start,
+            _peak_rss_mb())
 
 
 def run_point(point: SweepPoint, cache=None) -> SimResult:
@@ -466,7 +478,9 @@ def last_sweep_stats() -> Dict[str, object]:
     point counts, cache hits, workers/chunks/builds scheduled, how
     many warm restores were served from worker snapshot memos, the
     CPU ledger — ``parent_cpu_s`` (this process, over the call) and
-    ``worker_cpu_s`` (summed over pool tasks; 0.0 in-process) — and a
+    ``worker_cpu_s`` (summed over pool tasks; 0.0 in-process) — with
+    ``worker_peak_rss_mb`` (the largest peak RSS any pool task saw in
+    its worker; 0.0 in-process), and a
     ``timings`` dict of per-phase seconds — ``probe`` (cache lookups),
     ``plan`` (chunk planning), ``build`` (the planned warm-image
     builds, direct images and sampled chains, summed across workers),
@@ -530,6 +544,7 @@ def run_sweep(points: Sequence[Union[SweepPoint, dict]],
         "workers": 0, "chunks": 0, "builds": 0,
         "ckpt_memo_hits": 0, "wall_seconds": 0.0,
         "worker_cpu_s": 0.0, "parent_cpu_s": 0.0,
+        "worker_peak_rss_mb": 0.0,
         "timings": timings,
     }
 
@@ -603,8 +618,9 @@ def _run_on_pool(builds: _Builds, chunks: _Planned,
 
     Warm builds go out first; chunks waiting on one stay parked until
     it lands, everything else dispatches immediately
-    in submission order.  Completions commit as they arrive, and each
-    task's CPU seconds add to ``stats["worker_cpu_s"]``.  The pool
+    in submission order.  Completions commit as they arrive, each
+    task's CPU seconds add to ``stats["worker_cpu_s"]``, and its
+    worker's peak RSS raises ``stats["worker_peak_rss_mb"]``.  The pool
     closes however the loop ends: on a task failure the queued futures
     are cancelled and the workers joined before the error re-raises —
     results already committed stay committed, which is what
@@ -636,17 +652,19 @@ def _run_on_pool(builds: _Builds, chunks: _Planned,
             for future in done:
                 kind, payload = in_flight.pop(future)
                 if kind == "build":
-                    wall, cpu = future.result()
+                    wall, cpu, rss = future.result()
                     timings["build"] += wall
                     for items in gated.pop(payload, []):
                         submit(items)
                 else:
-                    dicts, walls, memo_hits, cpu = future.result()
+                    dicts, walls, memo_hits, cpu, rss = future.result()
                     stats["ckpt_memo_hits"] = \
                         int(stats["ckpt_memo_hits"]) + memo_hits
                     for (key, point), data, wall in zip(
                             payload, dicts, walls):
                         commit(key, point, data, wall)
                 stats["worker_cpu_s"] = float(stats["worker_cpu_s"]) + cpu
+                stats["worker_peak_rss_mb"] = max(
+                    float(stats["worker_peak_rss_mb"]), rss)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)

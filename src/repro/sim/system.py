@@ -23,7 +23,8 @@ recall acknowledgment; both are LLC-bound.)
 from __future__ import annotations
 
 import gc
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
 from repro.common.addr import AddressMap
 from repro.common.errors import ConfigError, SimulationError
@@ -50,6 +51,37 @@ _L2_BOUND = frozenset({
     MsgType.DOWNGRADE, MsgType.WB_ACK,
 })
 _MEM_BOUND = frozenset({MsgType.MEM_READ, MsgType.MEM_WB})
+
+@contextmanager
+def parked_gc() -> Iterator[None]:
+    """Park the cyclic collector for a System's whole life.
+
+    A :class:`System` is one big reference cycle: its components hold
+    callbacks bound to the System and to each other.  Any collection
+    that fires while it is alive (in construction, restore or result
+    collection) promotes it to an older generation, so once dead it
+    waits for a full collection, and dead Systems pile up between
+    points.  The runner entries that own a System from construction to
+    last use run inside this park and drop their last reference before
+    leaving it; the outermost park then ends with a young-generation
+    collection, which frees the dead System at once.
+
+    Only a park that finds the collector on owns it: nested parks do
+    nothing, and a collector the caller turned off stays off, with
+    nothing collected for it.  The owner restores the collector on
+    every exit, exceptions included.  Usable as a ``with`` block or as
+    a decorator (the wrapped call's frame is gone before the closing
+    collection).
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        gc.collect(0)
 
 
 class System:
@@ -362,16 +394,10 @@ class System:
         network = self.network
         cycle = scheduler.now
         overrun = f"warmup exceeded max_cycles={max_cycles}"
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with parked_gc():
             while not (barrier.held is not None and not network.active
                        and not scheduler.pending):
                 cycle = self._advance(cycle, max_cycles, "warmup", overrun)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         return scheduler.now
 
     def run(self, max_cycles: int = 100_000_000,
@@ -407,13 +433,12 @@ class System:
             barrier.release_held()
         cycle = self.scheduler.now
         overrun = f"exceeded max_cycles={max_cycles}"
-        # Simulation objects die by refcount (no reference cycles on the
-        # hot path), so the cyclic collector only adds pauses; park it
-        # for the run and restore the caller's setting afterwards.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        # The hot path's messages and events die by refcount, but the
+        # System itself is a reference cycle, so a collection here
+        # only pauses the run and promotes the System (see parked_gc);
+        # the runner entries already hold a park, and this one covers
+        # direct callers.
+        with parked_gc():
             while not self.all_finished:
                 cycle = self._advance(cycle, max_cycles, "run", overrun,
                                       stop_at)
@@ -422,9 +447,6 @@ class System:
             finish = max(core.finish_cycle for core in self.cores)
             if drain:
                 self._drain(max_cycles)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         return finish
 
     def _drain(self, max_cycles: int) -> None:

@@ -214,6 +214,7 @@ class TestWorkerLifetime:
         run_sweep(_points(seed0=71), jobs=1, cache=False)
         stats = last_sweep_stats()
         assert stats["worker_cpu_s"] == 0.0
+        assert stats["worker_peak_rss_mb"] == 0.0
         assert stats["parent_cpu_s"] > 0.0
 
     def test_pool_ledger_and_no_workers_left(self, tmp_path, monkeypatch,
@@ -224,6 +225,9 @@ class TestWorkerLifetime:
         assert stats["workers"] == 2
         assert stats["worker_cpu_s"] > 0.0
         assert stats["parent_cpu_s"] > 0.0
+        # an interpreter with the simulator loaded takes megabytes; a
+        # unit slip (KB vs bytes) would read 1024x off either way
+        assert 5.0 < stats["worker_peak_rss_mb"] < 10_000.0
         assert multiprocessing.active_children() == []
 
     def test_no_workers_left_after_a_failing_sweep(
